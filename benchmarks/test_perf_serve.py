@@ -196,7 +196,7 @@ class TestServeThroughput:
                 for p in outlier_profiles("hot-new-app", n=12)
             ]
             reply = client.observe("hot-new-app", profiles)
-            assert reply["update_scheduled"], (
+            assert reply["respec_scheduled"], (
                 "outlier application failed to trigger an update: "
                 f"{reply}"
             )
@@ -204,7 +204,7 @@ class TestServeThroughput:
             while time.monotonic() < deadline:
                 stats = client.stats()
                 updates = stats["updates"]
-                if updates["updates_completed"] or updates["updates_failed"]:
+                if updates["stream"]["respecs"] or updates["updates_failed"]:
                     break
                 time.sleep(0.05)
 
@@ -219,7 +219,7 @@ class TestServeThroughput:
             "traffic_requests": UPDATE_TRAFFIC * 4,
             "failed_during_update": len(failures),
             "versions_observed": sorted(versions_seen),
-            "updates_completed": serving.stats.updates_completed,
+            "respecs": serving.stats_dict()["stream"]["respecs"],
         }
         assert not failures, f"requests failed during update: {failures[:3]}"
         assert serving.stats.updates_failed == 0

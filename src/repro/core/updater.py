@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.dataset import ProfileDataset, ProfileRecord
 from repro.core.fitness import DEFAULT_TRAINING_WEIGHT
-from repro.core.genetic import GeneticSearch, SearchResult
+from repro.core.genetic import GeneticSearch
 from repro.core.metrics import median_error
 from repro.core.model import InferredModel
 
@@ -79,7 +79,6 @@ class ModelManager:
         self.model: Optional[InferredModel] = None
         self.steady_state_error: float = np.inf
         self._pending: Dict[str, List[ProfileRecord]] = {}
-        self._last_result: Optional[SearchResult] = None
 
     # -- bootstrap -----------------------------------------------------------------
 
@@ -90,21 +89,19 @@ class ModelManager:
         boot-strapped with data from benchmark suites" (§3.2).
         """
         result = self.search.run(self.dataset, self.generations)
-        self._last_result = result
         self.model = result.best_model(self.dataset)
         self.steady_state_error = result.best_fitness.mean_error
         return self.model
 
     # -- perturbation handling --------------------------------------------------------
 
-    def observe(
-        self, profiles: Sequence[ProfileRecord], auto_update: bool = True
-    ) -> ObservationOutcome:
+    def observe(self, profiles: Sequence[ProfileRecord]) -> ObservationOutcome:
         """Absorb profiles of one (possibly new) application.
 
         Checks model accuracy on the profiles, queues them, and — once the
         application is inaccurate *and* enough profiles accrued — triggers
-        a model update.
+        a model update.  Malformed profiles raise before anything is
+        queued.
         """
         self._require_trained()
         if not profiles:
@@ -114,10 +111,11 @@ class ModelManager:
             raise ValueError(f"one application per observation, got {sorted(apps)}")
         application = profiles[0].application
 
-        pending = self._pending.setdefault(application, [])
-        pending.extend(profiles)
-
+        # Building the probe validates the new profiles' widths; queue them
+        # only once it succeeded, so one bad record cannot poison the app.
+        pending = [*self._pending.get(application, ()), *profiles]
         probe = ProfileDataset(self.dataset.x_names, self.dataset.y_names, pending)
+        self._pending[application] = pending
         predictions = self.model.predict(probe)
         error = median_error(predictions, probe.targets())
         accurate = error <= self.error_tolerance * self.steady_state_error
@@ -126,7 +124,7 @@ class ModelManager:
         if accurate:
             # Shares behavior with observed software: absorb silently.
             self._absorb(application)
-        elif len(pending) >= self.min_update_profiles and auto_update:
+        elif len(pending) >= self.min_update_profiles:
             self._absorb(application)
             self.update()
             update_triggered = True
@@ -144,7 +142,6 @@ class ModelManager:
         """Re-specify and refit the model over the current dataset (§3.3)."""
         self._require_trained()
         result = self.search.update(self.dataset, self.update_generations)
-        self._last_result = result
         spec = result.best_chromosome.to_spec(self.dataset.variable_names)
         self.model = InferredModel.fit(spec, self.dataset)
         self.steady_state_error = result.best_fitness.mean_error
@@ -152,40 +149,8 @@ class ModelManager:
 
     # -- helpers --------------------------------------------------------------------
 
-    @property
-    def last_search_result(self) -> Optional[SearchResult]:
-        """The most recent GA result (train or update); seeds streaming state."""
-        return self._last_result
-
     def pending_profiles(self, application: str) -> int:
         return len(self._pending.get(application, []))
-
-    @property
-    def pending_applications(self) -> tuple:
-        """Applications with queued-but-unabsorbed profiles."""
-        return tuple(self._pending)
-
-    def needs_update(self, outcome: ObservationOutcome) -> bool:
-        """Would this observation trigger a re-specification?
-
-        The decision :meth:`observe` takes when ``auto_update=True``,
-        exposed separately so serving layers can run :meth:`observe` with
-        ``auto_update=False`` on the request path and defer the expensive
-        genetic update to a background worker.
-        """
-        return (
-            not outcome.accurate
-            and outcome.n_profiles >= self.min_update_profiles
-        )
-
-    def absorb(self, application: str) -> None:
-        """Move an application's pending profiles into the training set.
-
-        Public counterpart of the internal absorption step: callers that
-        deferred an update (``observe(..., auto_update=False)``) absorb the
-        queued evidence themselves immediately before :meth:`update`.
-        """
-        self._absorb(application)
 
     def _absorb(self, application: str) -> None:
         for record in self._pending.pop(application, []):

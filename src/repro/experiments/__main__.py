@@ -105,7 +105,7 @@ def _check_bootstrap(serving, backend: str) -> None:
     not come up quietly and answer traffic — the runner turns this into
     a ``FAILED check`` exit before the listener starts.
     """
-    error = serving.manager.steady_state_error
+    error = serving.stream.detector.baseline  # the bootstrap GA error
     assert error <= 0.25, (
         f"bootstrap model unusable: steady-state median error {error:.1%} "
         "exceeds 25% on the demo dataset"
@@ -123,8 +123,9 @@ def serve_main(argv) -> int:
 
     Boot-straps a demo service (synthetic dataset, short genetic search),
     publishes the model to the registry, and serves until interrupted or a
-    client sends ``shutdown``.  Point real traffic at it with
-    :class:`repro.serve.ServeClient` or ``python -m repro.serve.client``.
+    client sends ``shutdown``; ``observe`` frames keep the model current.
+    Point real traffic at it with :class:`repro.serve.ServeClient` or
+    ``python -m repro.serve.client``.
     """
     import asyncio
 
@@ -132,7 +133,11 @@ def serve_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments serve",
-        description="Serve an inferred model over TCP with micro-batching.",
+        description="Serve an inferred model over TCP with micro-batching. "
+        "'observe' frames keep it current: each refreshes the coefficients, "
+        "and once the paper's drift rule trips (profiles predicted worse "
+        "than 1.5x the steady-state error) a background re-specification "
+        "swaps in a new model.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7654)
@@ -160,22 +165,6 @@ def serve_main(argv) -> int:
         default=1,
         help="serve from this many worker processes behind one port "
         "(1 = classic single-process server)",
-    )
-    parser.add_argument(
-        "--reuse-port",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="multi-shard accept strategy: kernel SO_REUSEPORT balancing "
-        "('on'), the round-robin router fallback ('off'), or probe the "
-        "platform ('auto', the default)",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="attach the streaming re-specifier (enables the "
-        "observe_stream op: per-batch Gram refresh, drift-triggered "
-        "background re-specification; the batch observe op answers 409 "
-        "while attached)",
     )
     parser.add_argument(
         "--stream-publish-every",
@@ -239,15 +228,7 @@ def serve_main(argv) -> int:
         print(f"FAILED check: {failure}", file=sys.stderr)
         serving.close()
         return 1
-    if args.stream:
-        from repro.serve.bootstrap import attach_streaming
-
-        attach_streaming(serving, publish_every=args.stream_publish_every)
-        print(
-            "streaming re-specifier attached (observe_stream; "
-            f"publishing every {args.stream_publish_every} refreshes)",
-            flush=True,
-        )
+    serving.attach_stream(serving.stream, publish_every=args.stream_publish_every)
 
     async def run() -> None:
         await server.start()
@@ -281,7 +262,6 @@ def _serve_sharded(args) -> int:
 
     from repro.serve import BatchConfig, build_sharded_service, demo_dataset
 
-    reuse = {"auto": None, "on": True, "off": False}[args.reuse_port]
     print(
         f"bootstrapping demo model (genetic search) for {args.shards} shards...",
         flush=True,
@@ -294,7 +274,6 @@ def _serve_sharded(args) -> int:
         application=args.application,
         host=args.host,
         port=args.port,
-        reuse_port=reuse,
         generations=args.generations,
         population_size=args.population_size,
         seed=args.seed,
@@ -310,6 +289,9 @@ def _serve_sharded(args) -> int:
         print(f"FAILED check: {failure}", file=sys.stderr)
         supervisor.serving.close()
         return 1
+    supervisor.serving.attach_stream(
+        supervisor.serving.stream, publish_every=args.stream_publish_every
+    )
 
     stop = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):

@@ -4,8 +4,9 @@ The deployment layer the paper's methodology points at (§3.2's "models can
 be boot-strapped ... and updated as new software arrives"): trained
 :class:`~repro.core.model.InferredModel` objects are published to a
 versioned on-disk registry, served over TCP with micro-batched vectorized
-prediction, and re-specified in the background by the genetic heuristic as
-new applications accrue — with atomic old-or-new model swaps.
+prediction, and kept current by one streaming respecifier — coefficient
+refreshes as profiles arrive, a background genetic re-specification once
+they drift (§3.3) — with atomic old-or-new model swaps.
 
 Public API:
 
@@ -21,9 +22,8 @@ Public API:
 * assembly: :func:`build_service`, :func:`demo_dataset`,
   :func:`outlier_profiles`
 * sharding: :class:`ShardSupervisor`, :class:`ShardServer`,
-  :class:`ShardRouter`, :func:`build_sharded_service`,
-  :func:`supports_reuse_port` — N worker processes behind one port
-  (SO_REUSEPORT or the router fallback) with fleet-atomic model swaps
+  :func:`build_sharded_service`, :func:`supports_reuse_port` — N worker
+  processes behind one SO_REUSEPORT port with fleet-atomic model swaps
 """
 
 from repro.faults import NO_RETRY, RetryPolicy
@@ -53,7 +53,6 @@ from repro.serve.registry import (
 )
 from repro.serve.server import FrameTooLarge, PredictionServer
 from repro.serve.shard import (
-    ShardRouter,
     ShardServer,
     ShardSupervisor,
     build_sharded_service,
@@ -87,7 +86,6 @@ __all__ = [
     "RegistryError",
     "PredictionServer",
     "ServerThread",
-    "ShardRouter",
     "ShardServer",
     "ShardSupervisor",
     "build_sharded_service",

@@ -1,4 +1,4 @@
-"""Assembly helpers: dataset → trained manager → registry → live server.
+"""Assembly helpers: dataset → bootstrapped respecifier → registry → live server.
 
 Used by the ``python -m repro.experiments serve`` CLI, the serving
 benchmarks, and the end-to-end tests, so all three bring the service up
@@ -7,6 +7,7 @@ through the exact same path.
 
 from __future__ import annotations
 
+import asyncio
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -14,11 +15,11 @@ import numpy as np
 
 from repro.core.dataset import ProfileDataset, ProfileRecord
 from repro.core.genetic import GeneticSearch
-from repro.core.updater import ModelManager
 from repro.serve.batching import BatchConfig, ModelSlot
 from repro.serve.manager import ServingManager
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.server import PredictionServer
+from repro.stream import DriftConfig, StreamingRespecifier
 
 #: Variable layout of the demo service (three software characteristics,
 #: two hardware parameters — the same shape the engine benchmark uses).
@@ -76,7 +77,7 @@ def build_service(
     host: str = "127.0.0.1",
     port: int = 0,
     generations: int = 3,
-    update_generations: int = 2,
+    update_generations: int = 5,
     population_size: int = 10,
     seed: int = 0,
     batch_config: Optional[BatchConfig] = None,
@@ -88,7 +89,11 @@ def build_service(
 
     The caller still runs the asyncio lifecycle (``await server.start()``
     / ``serve_forever``); everything up to that — genetic bootstrap
-    (§3.2), registry publish, slot load, manager wiring — happens here.
+    (§3.2) into the maintaining respecifier, registry publish, slot load,
+    manager wiring — happens here.  The respecifier's drift gate is the
+    §3.3 update policy: at least ``min_update_profiles`` fresh profiles
+    whose median error exceeds 1.5x the bootstrap (steady-state) error
+    trip one re-specification of ``update_generations`` generations.
     ``backend`` names the timing backend the profiles came from; it must
     be registered in :mod:`repro.uarch.backends` and flows into registry
     metadata, stats payloads, and prometheus labels.
@@ -96,28 +101,30 @@ def build_service(
     from repro.uarch.backends import get_backend
 
     get_backend(backend)  # reject unknown names before anything is built
-    search = GeneticSearch(population_size=population_size, seed=seed)
-    manager = ModelManager(
+    respec = StreamingRespecifier(
         dataset,
-        search=search,
-        generations=generations,
-        update_generations=update_generations,
-        min_update_profiles=min_update_profiles,
+        GeneticSearch(population_size=population_size, seed=seed),
+        drift_config=DriftConfig(
+            window=2 * min_update_profiles,
+            min_fill=min_update_profiles,
+            trip_ratio=1.5,
+            clear_ratio=1.5,
+            patience=1,
+        ),
     )
-    manager.train()
+    respec.bootstrap(generations)
 
     registry = ModelRegistry(registry_root)
     slot = ModelSlot()
     serving = ServingManager(
-        manager, registry, ModelKey(space, application), slot, backend=backend
+        respec,
+        registry,
+        ModelKey(space, application),
+        slot,
+        backend=backend,
+        update_generations=update_generations,
     )
-    serving.publish_initial(
-        metadata={
-            "trigger": "bootstrap",
-            "steady_state_error": manager.steady_state_error,
-            "n_records": len(dataset),
-        }
-    )
+    asyncio.run(serving.publish("bootstrap", respec.model))
     server = PredictionServer(
         slot,
         host=host,
@@ -132,25 +139,20 @@ def build_service(
 
 def attach_streaming(
     serving: ServingManager, publish_every: int = 1, **respec_kwargs
-) -> object:
-    """Wire a :class:`repro.stream.StreamingRespecifier` into a built service.
+) -> StreamingRespecifier:
+    """Install a non-default maintenance policy on a built service.
 
-    Reuses the ModelManager's dataset, GA search (so re-specifications
-    warm-start from its retained population), and bootstrap search result
-    — no second GA run.  ``publish_every`` throttles per-refresh registry
-    publishes (see :meth:`ServingManager.attach_stream`); extra kwargs go
-    to the respecifier constructor (``drift_config``,
-    ``checkpoint_every``, ...).  Once attached, the batch ``observe`` op
-    is rejected in favor of ``observe_stream``.
+    The new :class:`repro.stream.StreamingRespecifier` reuses the
+    service's dataset, GA search (so re-specifications warm-start from
+    its retained population) and bootstrap search result — no second GA
+    run.  ``publish_every`` throttles per-refresh registry publishes (see
+    :meth:`ServingManager.attach_stream`); extra kwargs go to the
+    respecifier constructor (``drift_config`` — by default the service's
+    current one — ``checkpoint_every``, ...).
     """
-    from repro.stream import StreamingRespecifier
-
-    manager = serving.manager
-    if manager.last_search_result is None:
-        raise RuntimeError("train() the ModelManager before attaching a stream")
-    respec = StreamingRespecifier(
-        manager.dataset, manager.search, **respec_kwargs
-    )
-    respec.bootstrap_from(manager.last_search_result)
+    current = serving.stream
+    respec_kwargs.setdefault("drift_config", current.drift_config)
+    respec = StreamingRespecifier(current.dataset, current.search, **respec_kwargs)
+    respec.bootstrap_from(current.last_result)
     serving.attach_stream(respec, publish_every=publish_every)
     return respec

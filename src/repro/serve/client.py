@@ -245,7 +245,7 @@ class ServeClient:
         profiles: Sequence[dict],
         retrying: Optional[RetryPolicy] = None,
     ) -> dict:
-        """Ship one continuous-maintenance observation batch."""
+        """:meth:`observe` under the op's streaming name."""
         return self.request(
             {
                 "op": "observe_stream",

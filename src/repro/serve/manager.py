@@ -1,41 +1,42 @@
-"""Live model updates: wiring §3.2–§3.3 into the serving loop.
+"""Live model maintenance: one respecifier behind the serving loop.
 
 :class:`ServingManager` owns the feedback path of the service.  The
 prediction path never touches it — predictions read the
 :class:`~repro.serve.batching.ModelSlot` snapshot and nothing else — so a
 re-specification in flight can never block or fail a prediction.
 
-The flow mirrors the paper's inductive update policy:
+One :class:`repro.stream.StreamingRespecifier` maintains the model.  By
+default (:func:`repro.serve.bootstrap.build_service`) its drift gate is the
+paper's §3.3 update policy: accrue ``min_update_profiles`` profiles, then
+re-specify once their error exceeds 1.5x the steady-state error.
 
-1. ``observe`` frames deliver profiles of a (possibly new) application.
-   The accuracy check (``ModelManager.observe(auto_update=False)``) runs in
-   a worker thread; the asyncio loop stays free to serve predictions.
-2. Accurate applications are absorbed silently.  Inaccurate ones accrue
-   pending profiles until the hysteresis threshold (10–20 profiles, §3.3).
-3. Once the threshold trips, ONE background update runs: absorb the
-   evidence, re-run the genetic heuristic (which fans out across processes
-   via ``repro.parallel`` when ``REPRO_WORKERS`` is set), refit.
-4. The new model is published to the registry first (durable), then
-   swapped into the slot (visible).  The swap is a single atomic snapshot
-   rebind: every in-flight batch keeps the version it started with, every
-   later batch sees the new one — zero dropped requests, old-or-new only.
+1. ``observe`` frames (``observe_stream`` is the same op) deliver profiles
+   of a (possibly new) application.  Ingestion — prequential drift scoring
+   against the last re-specified model, Gram accumulation, coefficient
+   refresh — runs in a worker thread; the asyncio loop stays free to
+   serve predictions.
+2. A refresh publishes the refreshed coefficients (every
+   ``publish_every``-th refresh; see :meth:`ServingManager.attach_stream`).
+3. Once the drift gate trips, ONE background re-specification runs: the
+   genetic heuristic resumes warm-started from its retained population
+   (fanning out across processes via ``repro.parallel`` when
+   ``REPRO_WORKERS`` is set) and the winner is refit.
+4. Every new model — bootstrap, refresh, re-specification — takes
+   :meth:`ServingManager.publish`: registry first (durable), then the slot
+   (visible), then the ``on_swap`` hook (the fleet broadcast).  The swap
+   is a single atomic snapshot rebind: every in-flight batch keeps the
+   version it started with, every later batch sees the new one — zero
+   dropped requests, old-or-new only.
 
-**Failure policy**: an update that raises anywhere — re-specification,
-publish, swap — degrades gracefully to the last-good model.  The slot is
-only rebound after a successful publish, so the live snapshot is
-untouched by construction; the failure is recorded
-(``updates_failed`` / ``last_error`` in :meth:`ServingManager.stats_dict`,
-``serve.updates_failed`` in obs) and swallowed rather than left to die as
-an unobserved task exception.  Serving never stops because learning
-stumbled.  The ``serve.update`` fault site injects such failures in
-``tests/test_serve_chaos.py``.
-
-When a :class:`repro.stream.StreamingRespecifier` is attached
-(:meth:`ServingManager.attach_stream`), continuous maintenance replaces
-the batch flow outright: ``observe_stream`` frames drive
-ingest/refresh/re-spec, and batch ``observe`` frames are rejected with a
-409 — the two paths each keep their own incumbent model, so letting both
-publish would silently revert each other's updates.
+**Failure policy**: a maintenance action that raises — ingest, re-spec,
+publish — degrades gracefully to the last-good model.  The slot is only
+rebound after a successful publish, so the live snapshot is untouched by
+construction; the failure is recorded (``updates_failed`` /
+``last_error`` in :meth:`ServingManager.stats_dict`, the
+``serve.update_last_error`` gauge in obs) and swallowed rather than left to
+die as an unobserved task exception.  Serving never stops because
+learning stumbled.  The ``stream.ingest`` and ``stream.respec`` fault
+sites inject such failures in ``tests/test_stream_chaos.py``.
 
 Swap safety and version monotonicity are asserted by
 ``tests/test_serve_manager.py``.
@@ -50,24 +51,17 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro import faults, obs
+from repro import obs
 from repro.core.dataset import ProfileDataset, ProfileRecord
-from repro.core.updater import ModelManager, ObservationOutcome
 from repro.serve.batching import ModelSlot
 from repro.serve.registry import ModelKey, ModelRegistry
 
 
 @dataclasses.dataclass
 class UpdateStats:
-    observations: int = 0
-    absorbed: int = 0
-    updates_started: int = 0
-    updates_completed: int = 0
-    updates_failed: int = 0
-    stream_batches: int = 0
-    stream_refreshes: int = 0
-    stream_respecs: int = 0
-    stream_failed: int = 0
+    updates_started: int = 0  # background re-specifications scheduled
+    updates_failed: int = 0  # ... that raised (last-good model kept)
+    stream_failed: int = 0  # observe frames whose ingest raised
     last_published_version: int = 0
     last_error: Optional[str] = None
 
@@ -75,8 +69,7 @@ class UpdateStats:
 def _record_last_error(stats: UpdateStats, error: Optional[str]) -> None:
     """Track the last update error in stats AND the Prometheus export.
 
-    ``last_error`` historically only reached ``stats`` frames; the gauge
-    makes failure state visible through ``metrics`` /
+    The gauge makes failure state visible through ``metrics`` /
     ``serve --metrics-dump`` too (1 = last maintenance action failed),
     picking up ``{shard=...}`` labels for free under the sharded tier.
     """
@@ -85,138 +78,53 @@ def _record_last_error(stats: UpdateStats, error: Optional[str]) -> None:
 
 
 class ServingManager:
-    """Bridges ``observe`` traffic to ``ModelManager`` and the model slot."""
+    """Bridges ``observe`` traffic to a respecifier and the model slot.
+
+    ``update_generations`` is the GA budget of each re-specification.
+    """
 
     def __init__(
         self,
-        manager: ModelManager,
+        stream,
         registry: ModelRegistry,
         key: ModelKey,
         slot: ModelSlot,
         backend: str = "cpu",
+        update_generations: int = 5,
     ):
-        self.manager = manager
         self.registry = registry
         self.key = key
         self.slot = slot
         #: Timing backend this model's profiles came from; stamped into
         #: every registry publish and reported by ``stats``.
         self.backend = backend
+        self.update_generations = update_generations
         self.stats = UpdateStats()
         # Export the health gauge from boot, not first failure: a scrape
         # that has never seen serve.update_last_error cannot alert on it.
         _record_last_error(self.stats, None)
-        # One worker: updates and accuracy checks both mutate the
-        # ModelManager, so they serialize on this executor; the _lock
-        # additionally keeps the observe/decide step atomic per request.
+        # One worker: ingests and re-specifications both mutate the
+        # respecifier, so they serialize on this executor; the _lock
+        # additionally keeps each ingest-then-publish step atomic.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-update"
         )
         self._lock = asyncio.Lock()
         self._update_task: Optional[asyncio.Task] = None
-        #: Optional :class:`repro.stream.StreamingRespecifier` powering the
-        #: ``observe_stream`` path (see :meth:`attach_stream`).  While
-        #: attached, the batch ``observe`` path is rejected (409): both
-        #: maintenance paths publish to the same slot and would silently
-        #: revert each other's models otherwise.
-        self.stream = None
-        self._stream_publish_every = 1
-        self._refreshes_since_publish = 0
         #: Optional async hook ``on_swap(version)`` awaited after each
         #: successful publish-then-swap.  The shard supervisor registers
         #: its fleet-wide reload broadcast here; failures are counted
         #: (``serve.swap_hook_failures``), never allowed to fail the
-        #: update itself — the local slot already swapped.
+        #: publish itself — the local slot already swapped.
         self.on_swap = None
-
-    # -- bootstrap -----------------------------------------------------------------
-
-    def publish_initial(self, metadata: Optional[Dict[str, object]] = None) -> int:
-        """Publish the manager's trained model and load it into the slot."""
-        if self.manager.model is None:
-            raise RuntimeError("train() the ModelManager before serving it")
-        receipt = self.registry.publish(
-            self.key,
-            self.manager.model,
-            metadata={"backend": self.backend, **(metadata or {})},
-        )
-        self.slot.swap(receipt.version, self.manager.model)
-        self.stats.last_published_version = receipt.version
-        obs.gauge("serve.model_version").set(receipt.version)
-        return receipt.version
-
-    # -- observe path --------------------------------------------------------------
-
-    async def handle_observe(self, request: dict) -> dict:
-        """Serve one ``observe`` frame; may schedule a background update.
-
-        Rejected (409) while a streaming respecifier is attached: the
-        batch updater and the respecifier each keep their own incumbent
-        and publish to the same slot, so running both would let either
-        maintenance path silently revert the other's published model.
-        """
-        if self.stream is not None:
-            obs.counter("serve.observe_rejected_streaming").inc()
-            return {
-                "ok": False,
-                "status": 409,
-                "error": (
-                    "batch 'observe' is disabled while a streaming "
-                    "respecifier is attached (the two maintenance paths "
-                    "would fight over the model slot); use 'observe_stream'"
-                ),
-            }
-        application = request["application"]
-        profiles = [
-            ProfileRecord(
-                application,
-                np.asarray(p["x"], dtype=float),
-                np.asarray(p["y"], dtype=float),
-                float(p["z"]),
-            )
-            for p in request["profiles"]
-        ]
-        if not profiles:
-            raise ValueError("observe needs at least one profile")
-
-        loop = asyncio.get_running_loop()
-        async with self._lock:
-            outcome: ObservationOutcome = await loop.run_in_executor(
-                self._executor,
-                lambda: self.manager.observe(profiles, auto_update=False),
-            )
-            self.stats.observations += 1
-            obs.counter("serve.observations").inc()
-            if outcome.accurate:
-                self.stats.absorbed += 1
-                obs.counter("serve.observations_absorbed").inc()
-            update_scheduled = False
-            if self.manager.needs_update(outcome) and not self.update_in_progress:
-                self.manager.absorb(application)
-                self._update_task = loop.create_task(self._run_update())
-                self.stats.updates_started += 1
-                update_scheduled = True
-
-        return {
-            "ok": True,
-            "application": outcome.application,
-            "median_error": outcome.median_error,
-            "steady_state_error": outcome.steady_state_error,
-            "accurate": outcome.accurate,
-            "n_profiles": outcome.n_profiles,
-            "update_scheduled": update_scheduled,
-            "model_version": self.slot.version,
-        }
-
-    # -- streaming observe path ----------------------------------------------------
+        self.attach_stream(stream)
 
     def attach_stream(self, respecifier, publish_every: int = 1) -> None:
-        """Enable continuous maintenance via a bootstrapped respecifier.
+        """Install the respecifier that maintains the served model.
 
-        The respecifier's incumbent model should be the one served (or an
-        ancestor of it): refreshed/re-specified models are published and
-        swapped into the slot exactly like batch updates.  While attached,
-        the batch ``observe`` op is rejected — see :meth:`handle_observe`.
+        Its incumbent model should be the one served (or an ancestor of
+        it): refreshed and re-specified models are published and swapped
+        into the slot.
 
         ``publish_every`` throttles how often coefficient *refreshes*
         reach the registry: every registry publish is a durable
@@ -232,23 +140,54 @@ class ServingManager:
         if publish_every < 1:
             raise ValueError("publish_every must be >= 1")
         self.stream = respecifier
-        self._stream_publish_every = publish_every
+        self._publish_every = publish_every
         self._refreshes_since_publish = 0
 
-    async def handle_observe_stream(self, request: dict) -> dict:
-        """Serve one ``observe_stream`` frame: ingest, maybe refresh/respec.
+    # -- publishing ----------------------------------------------------------------
 
-        Same frame shape as ``observe``.  Coefficient refreshes happen
-        inline (they are p×p solves); a tripped drift detector instead
-        schedules ONE background re-specification, predictions staying on
-        the incumbent snapshot for its whole duration.
+    async def publish(self, trigger: str, model) -> int:
+        """Durable publish, slot swap, stats, then the ``on_swap`` hook.
+
+        The one publish path of the service: bootstrap, coefficient
+        refresh, re-specification (and the fleet's manual rollout).  On
+        the event loop, callers hold ``self._lock`` so a concurrent
+        ingest cannot move the respecifier under them.  Durable first,
+        visible second: a crash between the two leaves a valid registry
+        entry and a stale-but-correct live model.
         """
-        if self.stream is None:
-            return {
-                "ok": False,
-                "status": 501,
-                "error": "no streaming respecifier attached (see attach_stream)",
-            }
+        self._refreshes_since_publish = 0
+        receipt = self.registry.publish(
+            self.key,
+            model,
+            metadata={
+                "trigger": trigger,
+                "backend": self.backend,
+                "n_records": len(self.stream.dataset),
+            },
+        )
+        self.slot.swap(receipt.version, model)
+        self.stats.last_published_version = receipt.version
+        obs.gauge("serve.model_version").set(receipt.version)
+        if self.on_swap is not None:
+            try:
+                await self.on_swap(receipt.version)
+            except Exception:
+                # Published and swapped locally; a failed fan-out is the
+                # fleet layer's problem — it reconciles on respawn/reload.
+                obs.counter("serve.swap_hook_failures").inc()
+        return receipt.version
+
+    # -- observe path --------------------------------------------------------------
+
+    async def handle_observe(self, request: dict) -> dict:
+        """Serve one ``observe`` frame: ingest, maybe refresh or re-specify.
+
+        Coefficient refreshes happen inline (they are p×p solves); a
+        tripped drift gate instead schedules ONE background
+        re-specification, predictions staying on the incumbent snapshot
+        for its whole duration.  Malformed profiles are rejected (400)
+        before anything is ingested.
+        """
         application = request["application"]
         batch = ProfileDataset(
             self.stream.dataset.x_names, self.stream.dataset.y_names
@@ -263,41 +202,38 @@ class ServingManager:
                 )
             )
         if len(batch) == 0:
-            raise ValueError("observe_stream needs at least one profile")
+            raise ValueError("observe needs at least one profile")
 
         loop = asyncio.get_running_loop()
         respec_scheduled = False
         async with self._lock:
             try:
-                # Respec is deferred to a background task; ingestion itself
-                # (prequential scoring + Gram fold + refresh solve) is cheap
-                # and runs off-loop on the update executor.
+                # Ingestion (prequential scoring + Gram fold + refresh
+                # solve) is cheap and runs off-loop on the update executor.
                 outcome = await loop.run_in_executor(
                     self._executor,
                     lambda: self.stream.ingest(batch, allow_respec=False),
                 )
             except Exception as exc:
-                # Same degradation contract as _run_update: the slot keeps
-                # the last-good snapshot, the failure is recorded, serving
-                # continues.  stream.ingest fault injections land here.
+                # The slot keeps the last-good snapshot, the failure is
+                # recorded, serving continues.  stream.ingest fault
+                # injections land here.
                 self.stats.stream_failed += 1
                 _record_last_error(self.stats, f"{type(exc).__name__}: {exc}")
                 obs.counter("serve.stream_failed").inc()
                 return {"ok": False, "status": 500, "error": self.stats.last_error}
-            self.stats.stream_batches += 1
             obs.counter("serve.stream_batches").inc()
             if outcome.refreshed:
-                self.stats.stream_refreshes += 1
                 self._refreshes_since_publish += 1
-                if self._refreshes_since_publish >= self._stream_publish_every:
-                    self._publish_stream_model("stream-refresh")
+                if self._refreshes_since_publish >= self._publish_every:
+                    await self.publish("stream-refresh", self.stream.model)
                 else:
-                    # Throttled (attach_stream publish_every): the refresh
-                    # updated the in-memory incumbent; the durable publish
-                    # rides along with a later refresh or re-spec.
+                    # Throttled: the refresh updated the in-memory
+                    # incumbent; the durable publish rides along with a
+                    # later refresh or re-spec.
                     obs.counter("serve.stream_publish_deferred").inc()
             if outcome.needs_respec and not self.update_in_progress:
-                self._update_task = loop.create_task(self._run_stream_respec())
+                self._update_task = loop.create_task(self._respec())
                 self.stats.updates_started += 1
                 respec_scheduled = True
 
@@ -312,63 +248,7 @@ class ServingManager:
             "model_version": self.slot.version,
         }
 
-    def _publish_stream_model(self, trigger: str) -> int:
-        """Durable-then-visible publish of the stream's incumbent model.
-
-        Must run under ``self._lock``: it reads the respecifier's model
-        and detector, which ``stream.ingest`` mutates on the executor
-        thread during ``handle_observe_stream`` (which holds the lock
-        across that executor hop).
-        """
-        self._refreshes_since_publish = 0
-        receipt = self.registry.publish(
-            self.key,
-            self.stream.model,
-            metadata={
-                "trigger": trigger,
-                "backend": self.backend,
-                "n_records": len(self.stream.dataset),
-                "drift_score": self.stream.detector.score(),
-            },
-        )
-        self.slot.swap(receipt.version, self.stream.model)
-        self.stats.last_published_version = receipt.version
-        obs.gauge("serve.model_version").set(receipt.version)
-        return receipt.version
-
-    async def _run_stream_respec(self) -> None:
-        """Background drift-triggered re-specification (GA warm-start).
-
-        The GA itself runs lock-free (the single-worker executor already
-        serializes it against ingests), but the publish step takes
-        ``self._lock``, mirroring :meth:`handle_observe_stream`'s refresh
-        publishes: publishing reads the respecifier's model and detector
-        window, which a concurrent ``observe_stream`` frame mutates on
-        the executor thread while holding the lock — an unlocked publish
-        can crash on the detector's deque mutating mid-``score()`` and
-        record the successful respec as failed.
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            with obs.span("serve.stream_respec"):
-                await loop.run_in_executor(self._executor, self.stream.respec)
-            async with self._lock:
-                version = self._publish_stream_model("stream-respec")
-                self.stats.stream_respecs += 1
-                self.stats.updates_completed += 1
-                _record_last_error(self.stats, None)
-            obs.counter("serve.stream_respecs").inc()
-            if self.on_swap is not None:
-                try:
-                    await self.on_swap(version)
-                except Exception:
-                    obs.counter("serve.swap_hook_failures").inc()
-        except Exception as exc:
-            self.stats.updates_failed += 1
-            _record_last_error(self.stats, f"{type(exc).__name__}: {exc}")
-            obs.counter("serve.updates_failed").inc()
-
-    # -- the background update -----------------------------------------------------
+    # -- the background re-specification ------------------------------------------
 
     @property
     def update_in_progress(self) -> bool:
@@ -379,48 +259,29 @@ class ServingManager:
         if self._update_task is not None:
             await asyncio.shield(self._update_task)
 
-    async def _run_update(self) -> None:
+    async def _respec(self) -> None:
+        """Drift-triggered re-specification (GA warm-start), then publish.
+
+        The GA — minutes of CPU at paper scale — runs lock-free (the
+        single-worker executor already serializes it against ingests),
+        but the publish takes ``self._lock``: it reads the respecifier,
+        which a concurrent ``observe`` frame mutates on the executor
+        while holding the lock.
+        """
         loop = asyncio.get_running_loop()
         try:
-            faults.site("serve.update")
-            # The genetic re-specification (§3.3) — minutes of CPU at paper
-            # scale — runs off-loop; predictions continue on the old
-            # snapshot for its whole duration.
-            with obs.span("serve.update"):
-                model = await loop.run_in_executor(
-                    self._executor, self.manager.update
+            with obs.span("serve.stream_respec"):
+                await loop.run_in_executor(
+                    self._executor, self.stream.respec, self.update_generations
                 )
-            receipt = self.registry.publish(
-                self.key,
-                model,
-                metadata={
-                    "trigger": "online-update",
-                    "backend": self.backend,
-                    "steady_state_error": self.manager.steady_state_error,
-                    "n_records": len(self.manager.dataset),
-                },
-            )
-            # Durable first, visible second: a crash between the two leaves
-            # a valid registry entry and a stale-but-correct live model.
-            self.slot.swap(receipt.version, model)
-            self.stats.last_published_version = receipt.version
-            self.stats.updates_completed += 1
-            _record_last_error(self.stats, None)
-            obs.counter("serve.updates_completed").inc()
-            obs.gauge("serve.model_version").set(receipt.version)
-            if self.on_swap is not None:
-                try:
-                    await self.on_swap(receipt.version)
-                except Exception:
-                    # The update itself succeeded (published + swapped
-                    # locally); a failed fan-out is the fleet layer's
-                    # problem — it reconciles on respawn/next reload.
-                    obs.counter("serve.swap_hook_failures").inc()
+            async with self._lock:
+                await self.publish("stream-respec", self.stream.model)
+                _record_last_error(self.stats, None)
+            obs.counter("serve.stream_respecs").inc()
         except Exception as exc:
-            # Graceful degradation: the slot still holds the last-good
-            # (version, model) snapshot — publish-then-swap means a failed
-            # update never half-applies.  Record and absorb; a raised
-            # exception here would only die unobserved in the task.
+            # Publish-then-swap means a failed update never half-applies:
+            # the slot still holds the last-good snapshot.  Record and
+            # absorb; a raised exception would only die unobserved here.
             self.stats.updates_failed += 1
             _record_last_error(self.stats, f"{type(exc).__name__}: {exc}")
             obs.counter("serve.updates_failed").inc()
@@ -428,30 +289,15 @@ class ServingManager:
     # -- reporting -----------------------------------------------------------------
 
     def stats_dict(self) -> Dict[str, object]:
-        stats = {
+        return {
             "backend": self.backend,
-            "observations": self.stats.observations,
-            "absorbed": self.stats.absorbed,
             "updates_started": self.stats.updates_started,
-            "updates_completed": self.stats.updates_completed,
             "updates_failed": self.stats.updates_failed,
             "update_in_progress": self.update_in_progress,
             "last_published_version": self.stats.last_published_version,
             "last_error": self.stats.last_error,
-            "pending": {
-                app: self.manager.pending_profiles(app)
-                for app in self.manager.pending_applications
-            },
+            "stream": {"failed": self.stats.stream_failed, **self.stream.stats_dict()},
         }
-        if self.stream is not None:
-            stats["stream"] = {
-                "batches": self.stats.stream_batches,
-                "refreshes": self.stats.stream_refreshes,
-                "respecs": self.stats.stream_respecs,
-                "failed": self.stats.stream_failed,
-                **self.stream.stats_dict(),
-            }
-        return stats
 
     def close(self) -> None:
         self._executor.shutdown(wait=False)

@@ -15,14 +15,10 @@ Operations (``{"op": ...}`` request, ``{"ok": true/false, ...}`` reply):
 ``predict_batch``   a caller-assembled batch of rows, predicted against a
                     single model snapshot (bypasses the batcher).
 ``observe``         profiles of a (possibly new) application — forwarded to
-                    the online update manager when one is attached.
-                    Rejected (409) while a streaming respecifier is
-                    attached: the two maintenance paths would fight over
-                    the model slot; use ``observe_stream`` instead.
-``observe_stream``  a continuous-maintenance observation batch — forwarded
-                    to the manager's streaming respecifier (prequential
-                    drift scoring + Gram accumulation + coefficient
-                    refresh; drift trips schedule a background re-spec).
+                    the service's model maintainer (prequential drift
+                    scoring + Gram accumulation + coefficient refresh; a
+                    tripped drift gate schedules a background re-spec).
+``observe_stream``  the same op under its streaming name.
 ``stats``           request counters, batch-occupancy histogram, model
                     version, update counters.
 ``metrics``         the process-wide ``repro.obs`` registry: a snapshot
@@ -143,7 +139,6 @@ class PredictionServer:
         batch_config: Optional[BatchConfig] = None,
         manager=None,
         request_deadline_s: float = 30.0,
-        reuse_port: bool = False,
         backend: str = "cpu",
     ):
         if request_deadline_s <= 0:
@@ -151,7 +146,6 @@ class PredictionServer:
         self.slot = slot
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
         #: Which timing backend produced the profiles this model serves;
         #: tags ``info``/``stats`` payloads and prometheus series.
         self.backend = backend
@@ -186,7 +180,7 @@ class PredictionServer:
             "predict": self._op_predict,
             "predict_batch": self._op_predict_batch,
             "observe": self._op_observe,
-            "observe_stream": self._op_observe_stream,
+            "observe_stream": self._op_observe,
             "shutdown": self._op_shutdown,
         }
 
@@ -194,9 +188,8 @@ class PredictionServer:
 
     async def start(self) -> None:
         self.batcher.start()
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+            self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -409,6 +402,8 @@ class PredictionServer:
         return {"ok": True, "op": "shutdown"}
 
     async def _op_observe(self, request: dict) -> dict:
+        # Duck-typed so the shard workers' observe proxy (which forwards
+        # frames to the supervisor) plugs in without subclassing.
         if self.manager is None:
             return {
                 "ok": False,
@@ -416,18 +411,6 @@ class PredictionServer:
                 "error": "server runs without an online update manager",
             }
         return await self.manager.handle_observe(request)
-
-    async def _op_observe_stream(self, request: dict) -> dict:
-        # Duck-typed so the shard workers' observe proxy (which forwards
-        # frames to the supervisor) plugs in without subclassing.
-        handler = getattr(self.manager, "handle_observe_stream", None)
-        if handler is None:
-            return {
-                "ok": False,
-                "status": 501,
-                "error": "server runs without a streaming respecifier",
-            }
-        return await handler(request)
 
     def _op_metrics(self, request: dict) -> dict:
         if request.get("format") == "prometheus":

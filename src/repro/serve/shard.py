@@ -8,12 +8,10 @@ This module scales the same protocol across processes on one machine:
 * each worker runs its own event loop, micro-batcher, and a *read-only*
   :class:`~repro.serve.batching.ModelSlot` loaded from the shared
   on-disk :class:`~repro.serve.registry.ModelRegistry`;
-* clients connect to ONE public ``host:port``.  On platforms with
-  ``SO_REUSEPORT`` (Linux, BSDs) every worker accepts on that port
-  directly and the kernel load-balances connections; elsewhere the
-  supervisor runs a :class:`ShardRouter` — a single-listener asyncio
-  byte pump that round-robins connections to per-shard private ports
-  (with connect-failover past dead shards).
+* clients connect to ONE public ``host:port``: every worker accepts on
+  that port directly with ``SO_REUSEPORT`` (Linux, BSDs) and the kernel
+  load-balances connections.  A platform without it cannot run a fleet
+  (:meth:`ShardSupervisor.start` says so).
 
 **Model swaps are fleet-atomic in the versioned sense**: the supervisor
 publishes to the registry first (durable), then broadcasts a ``reload``
@@ -25,9 +23,10 @@ resurfacing.  ``tests/test_serve_shard.py`` property-tests this.
 
 **The feedback path stays centralized**: shards proxy ``observe`` frames
 to the supervisor's control server (:class:`_ObserveProxy`), where the
-single :class:`~repro.serve.manager.ServingManager` accrues evidence,
-re-specifies, publishes, and — via its ``on_swap`` hook — fans the new
-version out to every shard.  One learner, N predictors.
+single :class:`~repro.serve.manager.ServingManager` ingests, refreshes,
+re-specifies, and publishes — and every publish, via its ``on_swap``
+hook, fans the new version out to every shard.  One learner, N
+predictors.
 
 **Shards are cattle**: a monitor thread waits on process sentinels and
 respawns any worker that dies (crash, injected ``shard.request=kill``,
@@ -55,7 +54,6 @@ import asyncio
 import contextlib
 import dataclasses
 import functools
-import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -64,7 +62,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import faults, obs
 from repro.obs import MetricsRegistry, prometheus_text_multi, write_jsonl
@@ -135,14 +133,6 @@ class _ObserveProxy:
         self.failed = 0
 
     async def handle_observe(self, request: dict) -> dict:
-        return await self._forward(request)
-
-    async def handle_observe_stream(self, request: dict) -> dict:
-        # Streaming maintenance is control-plane work just like batch
-        # observes: the supervisor owns the one StreamingRespecifier.
-        return await self._forward(request)
-
-    async def _forward(self, request: dict) -> dict:
         client = AsyncServeClient(self.host, self.port)
         try:
             await client.connect()
@@ -176,9 +166,8 @@ class ShardServer(PredictionServer):
 
     * a ``reload`` op (version-gated registry load + slot swap) — the
       receiving end of the supervisor's fleet-wide swap broadcast;
-    * a *private* loopback listener (always), the reload/stats/drain
-      channel that stays reachable whether or not the public port is
-      kernel-balanced;
+    * a *private* loopback listener, the reload/stats/drain channel that
+      addresses this shard even though the public port is kernel-balanced;
     * the ``shard.request`` fault site ahead of every dispatch;
     * shard-labeled metrics and a ``shard`` field in ``stats``.
     """
@@ -191,8 +180,6 @@ class ShardServer(PredictionServer):
         key: ModelKey,
         host: str = "127.0.0.1",
         port: int = 0,
-        public_bind: bool = True,
-        reuse_port: bool = False,
         batch_config: Optional[BatchConfig] = None,
         manager=None,
         request_deadline_s: float = 30.0,
@@ -205,13 +192,11 @@ class ShardServer(PredictionServer):
             batch_config=batch_config,
             manager=manager,
             request_deadline_s=request_deadline_s,
-            reuse_port=reuse_port,
             backend=backend,
         )
         self.shard_id = shard_id
         self.registry = registry
         self.key = key
-        self.public_bind = public_bind
         self.private_port = 0
         self._private_server: Optional[asyncio.base_events.Server] = None
         self._obs_reloads = obs.counter("shard.reloads_applied")
@@ -219,12 +204,10 @@ class ShardServer(PredictionServer):
 
     async def start(self) -> None:
         self.batcher.start()
-        if self.public_bind:
-            kwargs = {"reuse_port": True} if self.reuse_port else {}
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port, **kwargs
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port, reuse_port=True
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
         # The private channel: loopback, kernel-assigned port, never
         # kernel-balanced — the supervisor can always address THIS shard.
         self._private_server = await asyncio.start_server(
@@ -313,8 +296,8 @@ class _WorkerSpec:
     space: str
     application: str
     host: str
-    #: public port to bind with SO_REUSEPORT, or ``None`` in router mode
-    public_port: Optional[int]
+    #: public port to bind with SO_REUSEPORT
+    public_port: int
     control_port: int
     batch_config: Optional[BatchConfig]
     request_deadline_s: float
@@ -344,9 +327,7 @@ def _shard_worker_main(spec: _WorkerSpec, ready_conn) -> None:
         registry,
         key,
         host=spec.host,
-        port=spec.public_port or 0,
-        public_bind=spec.public_port is not None,
-        reuse_port=spec.public_port is not None,
+        port=spec.public_port,
         batch_config=spec.batch_config,
         manager=_ObserveProxy("127.0.0.1", spec.control_port),
         request_deadline_s=spec.request_deadline_s,
@@ -365,7 +346,6 @@ def _shard_worker_main(spec: _WorkerSpec, ready_conn) -> None:
                 "shard": spec.shard_id,
                 "pid": os.getpid(),
                 "private_port": server.private_port,
-                "public_port": server.port if spec.public_port is not None else None,
                 "model_version": version,
             }
         )
@@ -383,136 +363,6 @@ def _shard_worker_main(spec: _WorkerSpec, ready_conn) -> None:
         raise
 
 
-# -- the router fallback -----------------------------------------------------------
-
-
-class ShardRouter:
-    """Single-listener round-robin connection router.
-
-    The portability fallback when ``SO_REUSEPORT`` is unavailable: the
-    supervisor listens on the public port itself and pumps each accepted
-    connection's bytes to one shard's private port, rotating targets per
-    connection and failing over past shards that refuse the connect.
-    Byte-level and protocol-agnostic — frames, retries, and errors all
-    pass through untouched, so clients cannot tell the modes apart.
-    """
-
-    def __init__(self, host: str, port: int, targets: Callable[[], List[int]]):
-        self.host = host
-        self.port = port
-        self._targets = targets
-        self._rr = itertools.count()
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._conn_tasks: set = set()
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self, timeout: float = 10.0) -> int:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-shard-router", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise TimeoutError("shard router did not come up")
-        if self._startup_error is not None:
-            raise RuntimeError("shard router failed to start") from self._startup_error
-        return self.port
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._loop is not None and not self._loop.is_closed():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._serve())
-        finally:
-            loop.close()
-
-    async def _serve(self) -> None:
-        self._stop_event = asyncio.Event()
-        try:
-            server = await asyncio.start_server(self._handle, self.host, self.port)
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        await self._stop_event.wait()
-        server.close()
-        await server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-
-    async def _handle(self, client_reader, client_writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        obs.counter("shard.router_connections").inc()
-
-        ports = self._targets()
-        shard_reader = shard_writer = None
-        if ports:
-            start_index = next(self._rr)
-            for offset in range(len(ports)):
-                port = ports[(start_index + offset) % len(ports)]
-                try:
-                    shard_reader, shard_writer = await asyncio.open_connection(
-                        "127.0.0.1", port
-                    )
-                    break
-                except OSError:
-                    # Dead/respawning shard: fail over to the next one.
-                    obs.counter("shard.router_failovers").inc()
-        if shard_writer is None:
-            obs.counter("shard.router_no_backend").inc()
-            client_writer.close()
-            with contextlib.suppress(Exception):
-                await client_writer.wait_closed()
-            return
-
-        try:
-            await asyncio.gather(
-                self._pump(client_reader, shard_writer),
-                self._pump(shard_reader, client_writer),
-                return_exceptions=True,
-            )
-        finally:
-            for writer in (client_writer, shard_writer):
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-
-    @staticmethod
-    async def _pump(reader, writer) -> None:
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            # Propagate the half-close so a shard's reply in flight still
-            # reaches the client after the client stops sending.
-            with contextlib.suppress(Exception):
-                if writer.can_write_eof():
-                    writer.write_eof()
-
-
 # -- the supervisor ----------------------------------------------------------------
 
 
@@ -521,21 +371,17 @@ class _WorkerHandle:
     shard_id: int
     process: multiprocessing.Process
     private_port: int
-    public_port: Optional[int]
     spawned_unix: float
 
 
 class ShardSupervisor:
-    """Owns the fleet: spawn, route, swap, monitor, respawn, drain.
+    """Owns the fleet: spawn, swap, monitor, respawn, drain.
 
     The supervisor process hosts the single :class:`ServingManager` (the
     learner) on a loopback *control server*; shards proxy ``observe``
     frames to it, and its ``on_swap`` hook broadcasts every successful
-    re-specification to the fleet.  :meth:`publish_model` is the manual
+    publish to the fleet.  :meth:`publish_model` is the manual
     equivalent for operators/tests.
-
-    ``reuse_port=None`` auto-detects: kernel balancing where the
-    platform supports it, the :class:`ShardRouter` fallback elsewhere.
     """
 
     def __init__(
@@ -545,7 +391,6 @@ class ShardSupervisor:
         n_shards: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        reuse_port: Optional[bool] = None,
         batch_config: Optional[BatchConfig] = None,
         request_deadline_s: float = 30.0,
         max_respawns: int = 16,
@@ -565,13 +410,13 @@ class ShardSupervisor:
         self.n_shards = n_shards
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
         self.batch_config = batch_config
         self.request_deadline_s = request_deadline_s
         self.max_respawns = max_respawns
         self.respawn_backoff_s = respawn_backoff_s
         self.spawn_timeout_s = spawn_timeout_s
-        self.mode: Optional[str] = None  # "reuse_port" | "router"
+        #: The accept strategy, reported by :meth:`fleet_stats`.
+        self.mode = "reuse_port"
         self.control_port = 0
         self.respawns = 0
 
@@ -583,7 +428,6 @@ class ShardSupervisor:
             backend=self.backend,
         )
         self._control_thread: Optional[ServerThread] = None
-        self._router: Optional[ShardRouter] = None
         self._reserved_sock: Optional[socket.socket] = None
         self._handles: Dict[int, _WorkerHandle] = {}
         self._handles_lock = threading.Lock()
@@ -593,18 +437,19 @@ class ShardSupervisor:
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self) -> "ShardSupervisor":
-        reuse = self.reuse_port if self.reuse_port is not None else supports_reuse_port()
-        self.mode = "reuse_port" if reuse else "router"
-
+        if not supports_reuse_port():
+            raise RuntimeError(
+                "sharded serving needs SO_REUSEPORT, which this platform "
+                "does not support; serve with one shard instead"
+            )
         # Control plane first: workers forward observes here from boot.
         self._control_thread = ServerThread(self._control_server).start()
         self.control_port = self._control_server.port
         self.serving.on_swap = self._broadcast_reload
 
-        if reuse:
-            # Pin the public port before any worker exists so every shard
-            # binds the same (resolved) number.
-            self._reserved_sock, self.port = _reserve_reuse_port(self.host, self.port)
+        # Pin the public port before any worker exists so every shard
+        # binds the same (resolved) number.
+        self._reserved_sock, self.port = _reserve_reuse_port(self.host, self.port)
 
         try:
             for shard_id in range(self.n_shards):
@@ -612,10 +457,6 @@ class ShardSupervisor:
         except BaseException:
             self.drain()
             raise
-
-        if not reuse:
-            self._router = ShardRouter(self.host, self.port, self._live_private_ports)
-            self.port = self._router.start()
 
         self._monitor_thread = threading.Thread(
             target=self._monitor, name="repro-shard-monitor", daemon=True
@@ -633,8 +474,7 @@ class ShardSupervisor:
     def drain(self, timeout_s: float = 30.0) -> None:
         """Graceful fleet shutdown (idempotent).
 
-        Order matters: stop respawning, stop routing new connections,
-        then stop the workers (shutdown op first, SIGTERM for stragglers),
+        Order matters: stop respawning, then stop the workers (shutdown op first, SIGTERM for stragglers),
         the control plane, and the learner's executor.  Callers that want
         the fleet's final metrics run :meth:`flush_metrics` *before* this
         — a stopped shard cannot be scraped.
@@ -643,9 +483,6 @@ class ShardSupervisor:
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=5.0)
             self._monitor_thread = None
-        if self._router is not None:
-            self._router.stop()
-            self._router = None
 
         with self._handles_lock:
             handles = sorted(self._handles.values(), key=lambda h: h.shard_id)
@@ -683,7 +520,7 @@ class ShardSupervisor:
             space=self.key.space,
             application=self.key.application,
             host=self.host,
-            public_port=self.port if self.mode == "reuse_port" else None,
+            public_port=self.port,
             control_port=self.control_port,
             batch_config=self.batch_config,
             request_deadline_s=self.request_deadline_s,
@@ -721,21 +558,12 @@ class ShardSupervisor:
             shard_id=shard_id,
             process=process,
             private_port=info["private_port"],
-            public_port=info.get("public_port"),
             spawned_unix=time.time(),
         )
         with self._handles_lock:
             self._handles[shard_id] = handle
         obs.counter("shard.workers_spawned").inc()
         return handle
-
-    def _live_private_ports(self) -> List[int]:
-        with self._handles_lock:
-            return [
-                handle.private_port
-                for _, handle in sorted(self._handles.items())
-                if handle.process.is_alive()
-            ]
 
     def _monitor(self) -> None:
         """Wait on process sentinels; respawn whatever dies."""
@@ -776,7 +604,7 @@ class ShardSupervisor:
 
     # -- fleet-wide model swaps --------------------------------------------------------
 
-    async def _broadcast_reload(self, version: Optional[int]) -> int:
+    async def _broadcast_reload(self, version: int) -> int:
         """Tell every live shard to load ``version``; returns the ack count.
 
         Runs on the control server's loop (it is the ServingManager's
@@ -813,29 +641,20 @@ class ShardSupervisor:
         obs.counter("shard.reload_failures").inc()
         return False
 
-    def reload_all(self, version: Optional[int] = None, timeout: float = 30.0) -> int:
-        """Synchronous fleet reload (``None`` = latest registry version)."""
-        if self._control_thread is None or self._control_thread.loop is None:
-            raise RuntimeError("supervisor is not started")
-        future = asyncio.run_coroutine_threadsafe(
-            self._broadcast_reload(version), self._control_thread.loop
-        )
-        return future.result(timeout)
-
-    def publish_model(self, model, metadata=None, timeout: float = 30.0) -> int:
+    def publish_model(self, model, timeout: float = 30.0) -> int:
         """Publish ``model`` and roll it out fleet-wide; returns its version.
 
-        The same durable-first order the online update uses: registry
+        Runs the learner's own publish path on the control loop: registry
         publish, supervisor slot swap, then the reload broadcast — at
         every instant each shard serves either the old or the new
         version, never anything else.
         """
-        receipt = self.registry.publish(self.key, model, metadata=metadata)
-        self.serving.slot.swap(receipt.version, model)
-        self.serving.stats.last_published_version = receipt.version
-        obs.gauge("serve.model_version").set(receipt.version)
-        self.reload_all(receipt.version, timeout=timeout)
-        return receipt.version
+        if self._control_thread is None or self._control_thread.loop is None:
+            raise RuntimeError("supervisor is not started")
+        future = asyncio.run_coroutine_threadsafe(
+            self.serving.publish("manual", model), self._control_thread.loop
+        )
+        return future.result(timeout)
 
     # -- fleet introspection -----------------------------------------------------------
 
@@ -928,9 +747,8 @@ def build_sharded_service(
     application: str = "suite",
     host: str = "127.0.0.1",
     port: int = 0,
-    reuse_port: Optional[bool] = None,
     generations: int = 3,
-    update_generations: int = 2,
+    update_generations: int = 5,
     population_size: int = 10,
     seed: int = 0,
     batch_config: Optional[BatchConfig] = None,
@@ -968,7 +786,6 @@ def build_sharded_service(
         n_shards=n_shards,
         host=host,
         port=port,
-        reuse_port=reuse_port,
         batch_config=batch_config,
         request_deadline_s=request_deadline_s,
         max_respawns=max_respawns,

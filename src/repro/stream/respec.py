@@ -127,7 +127,8 @@ class StreamingRespecifier:
         self.retuner = None
         self.accumulator: Optional[GramAccumulator] = None
         self.detector: Optional[DriftDetector] = None
-        self.sampler: Optional[ActiveSampler] = None
+        self._sampler: Optional[ActiveSampler] = None
+        self._committee_rows: Optional[int] = None  # records at adoption
         self.last_result: Optional[SearchResult] = None
         self.batches_ingested = 0
         self.records_ingested = 0
@@ -146,8 +147,7 @@ class StreamingRespecifier:
         return self.model
 
     def bootstrap_from(self, result: SearchResult) -> InferredModel:
-        """Adopt an already-completed GA result (e.g. a trained
-        :class:`repro.core.updater.ModelManager`'s) instead of re-searching.
+        """Adopt an already-completed GA result instead of re-searching.
         The result's population must live in :attr:`search` for respec
         warm-starts to work — pass the same search instance that ran it."""
         self._adopt(result)
@@ -184,12 +184,34 @@ class StreamingRespecifier:
             self.detector = DriftDetector(baseline, self.drift_config)
         else:
             self.detector.reset(baseline)
-        try:
-            self.sampler = ActiveSampler.from_search(
-                result, self.dataset, self.committee_size
-            )
-        except ValueError:
-            self.sampler = None  # degenerate population; sampling falls back
+        self._sampler = None
+        self._committee_rows = len(self.dataset)
+
+    @property
+    def sampler(self) -> Optional[ActiveSampler]:
+        """The active-sampling committee of the current specification.
+
+        Fitting it costs several model fits, and only :meth:`select_next`
+        reads it, so it is built on first use after each adoption — on
+        the records present at adoption, exactly as an eager build would.
+        ``None`` when the population is too degenerate for a committee.
+        """
+        if self._committee_rows is not None:
+            rows, self._committee_rows = self._committee_rows, None
+            try:
+                self._sampler = ActiveSampler.from_search(
+                    self.last_result,
+                    self.dataset.subset(range(rows)),
+                    self.committee_size,
+                )
+            except ValueError:
+                self._sampler = None  # sampling falls back
+        return self._sampler
+
+    @sampler.setter
+    def sampler(self, sampler: Optional[ActiveSampler]) -> None:
+        self._sampler = sampler
+        self._committee_rows = None
 
     def set_baseline(self, baseline: float) -> None:
         """Override the drift baseline (e.g. from a fresh stationary batch).

@@ -241,6 +241,18 @@ class TestModelManager:
         with pytest.raises(ValueError):
             manager.observe(records)
 
+    def test_malformed_profile_does_not_poison_the_application(self):
+        """A record of the wrong width is rejected before it is queued, so
+        later valid observations of the same application still work."""
+        manager = self._manager()
+        manager.train()
+        malformed = ProfileRecord("newcomer", np.ones(1), np.ones(2), 1.0)
+        with pytest.raises(ValueError):
+            manager.observe([malformed])
+        assert manager.pending_profiles("newcomer") == 0
+        outcome = manager.observe(self._records("newcomer", 3, shift=1.0))
+        assert outcome.n_profiles == 3
+
     def test_outlier_waits_for_more_profiles(self):
         """An inaccurate newcomer does not trigger an update until enough
         profiles accrue (§3.3's 10-20 points; hysteresis)."""

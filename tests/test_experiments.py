@@ -297,7 +297,7 @@ class TestServeBootstrapCheck:
         from types import SimpleNamespace
 
         serving = SimpleNamespace(
-            manager=SimpleNamespace(steady_state_error=error),
+            stream=SimpleNamespace(detector=SimpleNamespace(baseline=error)),
             slot=SimpleNamespace(version=1),
             stats_dict=lambda: {"backend": backend},
             close=lambda: None,

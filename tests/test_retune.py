@@ -300,7 +300,7 @@ class TestServingPath:
             # FAST_DRIFT's patience wants consecutive over-threshold
             # batches before latching; feed frames until the respec lands.
             for attempt in range(4):
-                reply = await serving.handle_observe_stream(
+                reply = await serving.handle_observe(
                     {
                         "application": source.application,
                         "profiles": _profiles(8, 31 + attempt),

@@ -6,6 +6,7 @@ between write and link, a worker process killed mid-chunk — and asserts the
 stack degrades the way DESIGN.md §8 promises: the client's retry policy
 recovers, the server keeps serving, the registry quarantines and falls
 back, and the GA result is bit-identical to the fault-free serial run.
+(Failed model maintenance is the streaming suite's: ``test_stream_chaos.py``.)
 
 ``REPRO_CHAOS_SEED`` selects the fault/jitter seed (the CI chaos job runs
 three fixed seeds); the module dumps the accumulated obs registry to
@@ -17,7 +18,6 @@ import json
 import socket
 import struct
 
-import asyncio
 import os
 import time
 
@@ -34,7 +34,7 @@ from repro.serve import (
     ServeClient,
     ServerThread,
 )
-from repro.serve.bootstrap import build_service, demo_dataset, outlier_profiles
+from repro.serve.bootstrap import build_service, demo_dataset
 from repro.serve.registry import QUARANTINE_DIR
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -184,62 +184,6 @@ class TestServerDegradation:
             assert reply["ok"] is False and reply["status"] == 413
             # The stream cannot be re-framed after a bogus prefix: closed.
             assert sock.recv(1) == b""
-
-
-# -- ServingManager: failed update degrades to the last-good model ---------------------
-
-
-class TestUpdateDegradation:
-    def test_failed_update_keeps_serving_then_recovers(self, tmp_path):
-        ds = demo_dataset(seed=0)
-        server, serving, registry = build_service(
-            ds,
-            tmp_path / "registry",
-            generations=1,
-            update_generations=1,
-            population_size=6,
-            min_update_profiles=8,
-        )
-
-        def frame(n, seed):
-            return {
-                "application": "newapp",
-                "profiles": [
-                    {"x": p.x.tolist(), "y": p.y.tolist(), "z": p.z}
-                    for p in outlier_profiles("newapp", n=n, seed=seed)
-                ],
-            }
-
-        async def scenario():
-            v_before = serving.slot.version
-            plan = FaultPlan.parse("serve.update=raise@1", seed=CHAOS_SEED)
-            with faults.armed(plan):
-                reply = await serving.handle_observe(frame(10, seed=99))
-                assert reply["update_scheduled"]
-                await serving.wait_for_update()
-            assert plan.injected_counts() == [1]
-
-            # Degraded, not down: the slot still holds the last-good model
-            # and the failure is visible in stats, not raised anywhere.
-            assert serving.stats.updates_failed == 1
-            assert serving.stats.last_error.startswith("InjectedFault")
-            assert serving.slot.version == v_before
-            assert registry.latest_version(serving.key) == v_before
-            assert serving.stats_dict()["last_error"] == serving.stats.last_error
-
-            # The next update (fault plan exhausted) completes and swaps.
-            reply = await serving.handle_observe(frame(10, seed=100))
-            assert reply["update_scheduled"]
-            await serving.wait_for_update()
-            assert serving.stats.updates_completed == 1
-            assert serving.stats.last_error is None
-            assert serving.slot.version == v_before + 1
-            return v_before
-
-        try:
-            asyncio.run(scenario())
-        finally:
-            serving.close()
 
 
 # -- registry crash safety -------------------------------------------------------------

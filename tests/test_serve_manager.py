@@ -105,9 +105,27 @@ class TestSlotSwapDuringTraffic:
         assert all(a <= b for a, b in zip(ordered, ordered[1:]))
 
 
+def _frame(application, records):
+    return {
+        "application": application,
+        "profiles": [{"x": r.x.tolist(), "y": r.y.tolist(), "z": r.z} for r in records],
+    }
+
+
+def _triggers(registry):
+    key = ModelKey("demo", "suite")
+    return [registry.entry_metadata(key, v)["trigger"] for v in registry.versions(key)]
+
+
 class TestServingManagerUpdate:
-    def test_observe_triggers_background_update_and_publish(self, tmp_path):
-        server, serving, registry = build_service(
+    """The paper's §3.3 update policy, run against the serving path: the
+    default drift gate of :func:`build_service` waits for
+    ``min_update_profiles`` profiles, then re-specifies once their error
+    exceeds 1.5x the steady-state (bootstrap) error."""
+
+    @staticmethod
+    def _service(tmp_path):
+        return build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
@@ -115,29 +133,59 @@ class TestServingManagerUpdate:
             population_size=6,
             min_update_profiles=8,
         )
-        profiles = [
-            {"x": p.x.tolist(), "y": p.y.tolist(), "z": p.z}
-            for p in outlier_profiles("newapp", n=10)
-        ]
+
+    def test_accurate_application_absorbed_without_update(self, tmp_path):
+        server, serving, registry = self._service(tmp_path)
+        # Profiles of an application the model already covers.
+        ds = demo_dataset(n_apps=1, n_per_app=8, seed=0)
+
+        async def scenario():
+            return await serving.handle_observe(_frame("app0", ds.records))
+
+        reply = asyncio.run(scenario())
+        serving.close()
+        assert reply["ok"] and not reply["drift_tripped"]
+        assert not reply["respec_scheduled"]
+        assert serving.stats.updates_started == 0
+        assert serving.stream.records_ingested == 8
+        assert "stream-respec" not in _triggers(registry)
+
+    def test_outlier_waits_for_more_profiles(self, tmp_path):
+        server, serving, registry = self._service(tmp_path)
+        outliers = outlier_profiles("newapp", n=7)
+
+        async def scenario():
+            return await serving.handle_observe(_frame("newapp", outliers))
+
+        reply = asyncio.run(scenario())
+        serving.close()
+        # Far outside the tolerance band, but one profile short of the
+        # evidence the policy wants: no verdict yet.
+        assert reply["ok"] and reply["batch_error"] > 1.5 * serving.stream.detector.baseline
+        assert not reply["drift_tripped"] and not reply["respec_scheduled"]
+        assert "stream-respec" not in _triggers(registry)
+
+    def test_observe_triggers_background_update_and_publish(self, tmp_path):
+        server, serving, registry = self._service(tmp_path)
+        outliers = outlier_profiles("newapp", n=10)
         key = ModelKey("demo", "suite")
 
         async def scenario():
-            v_before = serving.slot.version
-            reply = await serving.handle_observe(
-                {"application": "newapp", "profiles": profiles}
-            )
-            assert reply["ok"] and not reply["accurate"]
-            assert reply["update_scheduled"]
+            first = await serving.handle_observe(_frame("newapp", outliers[:5]))
+            assert first["ok"] and not first["respec_scheduled"]
+            reply = await serving.handle_observe(_frame("newapp", outliers[5:]))
+            assert reply["ok"] and reply["drift_tripped"]
+            assert reply["respec_scheduled"]
             await serving.wait_for_update()
-            return v_before
 
-        v_before = asyncio.run(scenario())
+        asyncio.run(scenario())
         serving.close()
 
-        assert serving.slot.version == v_before + 1
-        assert registry.versions(key) == [v_before, v_before + 1]
-        assert serving.stats.updates_completed == 1
+        assert _triggers(registry).count("stream-respec") == 1
+        assert _triggers(registry)[-1] == "stream-respec"
+        assert serving.stats.updates_started == 1
         assert serving.stats.updates_failed == 0
+        assert serving.stats_dict()["stream"]["respecs"] == 1
         # Registry's latest is exactly the live model.
         published, version = registry.load(key)
         assert version == serving.slot.version
@@ -145,30 +193,3 @@ class TestServingManagerUpdate:
         assert (
             published.predict_rows(probe) == serving.slot.get()[1].predict_rows(probe)
         ).all()
-        meta = registry.entry_metadata(key, version)
-        assert meta["trigger"] == "online-update"
-
-    def test_accurate_application_absorbed_without_update(self, tmp_path):
-        server, serving, registry = build_service(
-            demo_dataset(seed=0),
-            tmp_path / "registry",
-            generations=1,
-            update_generations=1,
-            population_size=6,
-        )
-        # Profiles drawn from an application the model already covers.
-        ds = demo_dataset(n_apps=1, n_per_app=5, seed=0)
-        profiles = [
-            {"x": r.x.tolist(), "y": r.y.tolist(), "z": r.z} for r in ds.records
-        ]
-
-        async def scenario():
-            return await serving.handle_observe(
-                {"application": "app0", "profiles": profiles}
-            )
-
-        reply = asyncio.run(scenario())
-        serving.close()
-        assert reply["accurate"] and not reply["update_scheduled"]
-        assert serving.slot.version == 1
-        assert registry.versions(ModelKey("demo", "suite")) == [1]

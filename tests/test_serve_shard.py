@@ -2,13 +2,14 @@
 
 The properties DESIGN.md §10 promises:
 
-* a fleet of N worker processes serves the single public port in either
-  accept mode (kernel ``SO_REUSEPORT`` balancing or the round-robin
-  router fallback) and is indistinguishable from one server to clients;
+* a fleet of N worker processes serves the single public port (kernel
+  ``SO_REUSEPORT`` balancing) and is indistinguishable from one server
+  to clients;
 * fleet-wide model swaps are version-atomic — while a publish rolls out,
   clients observe versions from ``{v, v+1}`` only, and every prediction
   is bit-identical to the single-process server holding the same model
-  (property-tested with hypothesis);
+  (property-tested with hypothesis), and every publish of the single
+  learner — a coefficient refresh included — reaches every shard;
 * a dead shard is respawned by the supervisor and rejoins on the latest
   registry version;
 * ``serve --shards N`` drains on SIGTERM: flushes the metrics JSONL and
@@ -27,6 +28,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -41,7 +43,8 @@ from repro.serve import (
     demo_dataset,
     supports_reuse_port,
 )
-from repro.serve.shard import ShardRouter, _reserve_reuse_port
+from repro.serve.bootstrap import _app_records
+from repro.serve.shard import _reserve_reuse_port
 
 N_SHARDS = 3
 
@@ -117,72 +120,77 @@ def test_fleet_serves_all_shards_live(fleet):
     stats = supervisor.fleet_stats()
     assert stats["shards"] == N_SHARDS
     assert stats["live"] == N_SHARDS
-    assert stats["mode"] in ("reuse_port", "router")
+    assert stats["mode"] == "reuse_port"
     assert set(stats["per_shard"]) == {"0", "1", "2"}
     assert all(s["ok"] for s in stats["per_shard"].values())
 
 
-def test_router_mode_rotates_across_shards(tmp_path):
-    """The fallback path must spread fresh connections over every shard."""
+def test_start_without_reuse_port_names_it(tmp_path, monkeypatch):
+    import repro.serve.shard as shard
+
     supervisor = build_sharded_service(
         demo_dataset(seed=0),
         tmp_path / "registry",
         n_shards=2,
-        reuse_port=False,
         generations=1,
         population_size=6,
     )
-    with supervisor:
-        assert supervisor.mode == "router"
-        seen = set()
-        for _ in range(6):
-            with ServeClient(port=supervisor.port, timeout=10.0) as client:
-                seen.add(client.stats()["shard"])
-        assert seen == {0, 1}
-
-
-def test_router_fails_over_past_a_dead_backend():
-    dead_then_live = [0]  # port 0 always refuses; repaired below
-
-    router = ShardRouter("127.0.0.1", 0, lambda: list(dead_then_live))
-    port = router.start()
+    monkeypatch.setattr(shard, "supports_reuse_port", lambda: False)
     try:
-        # Stand in a real server for the live target.
-        import socketserver
-
-        class Echo(socketserver.StreamRequestHandler):
-            def handle(self):
-                data = self.rfile.read(4)
-                self.wfile.write(data)
-
-        backend = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Echo)
-        backend.daemon_threads = True
-        threading.Thread(target=backend.serve_forever, daemon=True).start()
-        dead_then_live.append(backend.server_address[1])
-
-        import socket
-
-        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
-            sock.sendall(b"ping")
-            assert sock.recv(4) == b"ping"
-        backend.shutdown()
-        backend.server_close()
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
+            supervisor.start()
     finally:
-        router.stop()
+        supervisor.serving.close()
 
 
-def test_observe_is_forwarded_to_the_control_plane(fleet):
-    """Any shard accepts observations; the single learner answers them."""
-    supervisor, _ = fleet
-    profiles = [
-        {"x": [0.1 * i, 0.2, 0.3], "y": [1.0, 1.5], "z": 2.0 + 0.01 * i}
-        for i in range(3)
+@pytest.fixture(scope="module")
+def learning_fleet(tmp_path_factory):
+    """A 2-shard fleet that takes observations, so its versions move
+    (kept apart from ``fleet``, whose tests pin the bootstrap model)."""
+    supervisor = build_sharded_service(
+        demo_dataset(seed=0),
+        tmp_path_factory.mktemp("learning"),
+        n_shards=2,
+        generations=1,
+        population_size=6,
+    ).start()
+    try:
+        yield supervisor
+    finally:
+        supervisor.drain()
+
+
+def _app0_profiles(n: int, seed: int) -> list:
+    return [
+        {"x": p.x.tolist(), "y": p.y.tolist(), "z": p.z}
+        for p in _app_records("app0", n, np.random.default_rng(seed))
     ]
+
+
+def test_observe_is_forwarded_to_the_control_plane(learning_fleet):
+    """Any shard accepts observations; the single learner answers them."""
+    supervisor = learning_fleet
+    ingested = supervisor.serving.stream.records_ingested
     with ServeClient(port=supervisor.port, timeout=10.0) as client:
-        reply = client.observe("shard-observe-app", profiles)
+        reply = client.observe("app0", _app0_profiles(3, seed=7))
     assert reply["ok"]
-    assert "accurate" in reply and "median_error" in reply
-    assert supervisor.serving.stats.observations >= 1
+    assert "drift_score" in reply and "respec_scheduled" in reply
+    assert supervisor.serving.stream.records_ingested == ingested + 3
+
+
+def test_refresh_reaches_every_shard(learning_fleet):
+    """A coefficient refresh is a publish like any other: the registry,
+    the supervisor slot and every shard move to the new version."""
+    supervisor = learning_fleet
+    before = supervisor.serving.slot.version
+    with ServeClient(port=supervisor.port, timeout=10.0) as client:
+        reply = client.observe_stream("app0", _app0_profiles(4, seed=8))
+    assert reply["ok"] and reply["action"] == "refresh"
+    assert reply["model_version"] == before + 1
+    assert supervisor.registry.latest_version(supervisor.key) == before + 1
+    stats = supervisor.fleet_stats()
+    assert stats["live"] == 2
+    assert stats["versions"] == [before + 1]
 
 
 def test_reload_is_version_gated(fleet):

@@ -603,7 +603,7 @@ class TestObserveStreamServing:
                     if reply["action"] == "refresh":
                         assert reply["model_version"] == v_before + 1
                     stats = client.stats()
-                    assert stats["updates"]["stream"]["batches"] == 1
+                    assert stats["updates"]["stream"]["batches_ingested"] == 1
             dump = obs.prometheus_dump(labels={"shard": "0"})
             assert 'repro_stream_drift_score{shard="0"}' in dump
             assert 'repro_serve_update_last_error{shard="0"}' in dump
@@ -611,34 +611,90 @@ class TestObserveStreamServing:
         finally:
             serving.close()
 
-    def test_batch_observe_rejected_while_stream_attached(self, tmp_path):
-        """The two maintenance paths must not fight over the model slot:
-        with a respecifier attached, the batch 'observe' op is a 409."""
+    def test_batch_and_stream_observes_never_revert_a_version(self, tmp_path):
+        """Both op names feed the one maintenance path: ``observe`` and
+        ``observe_stream`` frames interleaved on one service, with a
+        re-specification in flight, never move a published or served
+        version backwards, and the last publish is the live incumbent."""
         from repro.serve.bootstrap import (
             attach_streaming,
             build_service,
             demo_dataset,
         )
 
-        server, serving, _ = build_service(
+        server, serving, registry = build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
+            update_generations=1,
             population_size=6,
         )
-        attach_streaming(serving, drift_config=FAST_DRIFT)
-        try:
-            reply = asyncio.run(
-                serving.handle_observe(
-                    {"application": "app0", "profiles": _profiles(4, seed=3)}
+        respec = attach_streaming(
+            serving,
+            drift_config=DriftConfig(
+                window=8, min_fill=1, trip_ratio=1.05, clear_ratio=1.0,
+                patience=1,
+            ),
+        )
+        respec.set_baseline(1e-6)  # the first batch trips a re-specification
+
+        async def connection(op, seeds):
+            versions, during_respec = [], 0
+            for seed in seeds:
+                reply = await server._dispatch(
+                    {"op": op, "application": "app0",
+                     "profiles": _profiles(6, seed=seed)}
                 )
+                assert reply["ok"], reply
+                versions.append(reply["model_version"])
+                during_respec += serving.update_in_progress
+                await asyncio.sleep(0.001)
+            return versions, during_respec
+
+        async def scenario():
+            first = await server._dispatch(
+                {"op": "observe", "application": "app0",
+                 "profiles": _profiles(6, seed=50)}
             )
-            assert reply["ok"] is False and reply["status"] == 409
-            assert "observe_stream" in reply["error"]
-            assert serving.stats.observations == 0
-            assert not serving.update_in_progress
+            assert first["respec_scheduled"]
+            served, done = [], asyncio.Event()
+
+            async def poll():
+                while not done.is_set():
+                    served.append(serving.slot.version)
+                    await asyncio.sleep(0.0005)
+
+            poller = asyncio.ensure_future(poll())
+            results = await asyncio.gather(
+                connection("observe", range(51, 59)),
+                connection("observe_stream", range(61, 69)),
+            )
+            await serving.wait_for_update()
+            done.set()
+            await poller
+            return results, served
+
+        try:
+            results, served = asyncio.run(scenario())
         finally:
             serving.close()
+
+        for versions, _ in results:
+            assert versions == sorted(versions)
+        assert served == sorted(served)
+        assert sum(during for _, during in results) >= 1  # truly interleaved
+        versions = registry.versions(serving.key)
+        assert versions == list(range(1, serving.slot.version + 1))
+        triggers = [
+            registry.entry_metadata(serving.key, v)["trigger"] for v in versions
+        ]
+        assert "stream-respec" in triggers and "stream-refresh" in triggers
+        # No stale incumbent overwrote a newer model: the live model is
+        # the respecifier's own, bit for bit.
+        rows = respec.dataset.matrix()[:16]
+        np.testing.assert_array_equal(
+            serving.slot.get()[1].predict_rows(rows), respec.model.predict_rows(rows)
+        )
 
     def test_refresh_publish_throttle(self, tmp_path):
         """publish_every=N: refreshes update the in-memory incumbent every
@@ -664,42 +720,18 @@ class TestObserveStreamServing:
         async def scenario():
             v_before = serving.slot.version
             for k in range(3):
-                reply = await serving.handle_observe_stream(
+                reply = await serving.handle_observe(
                     {"application": "app0", "profiles": _profiles(8, seed=40 + k)}
                 )
                 assert reply["ok"] and reply["action"] == "refresh"
                 if k < 2:
                     assert serving.slot.version == v_before  # deferred
-            assert serving.stats.stream_refreshes == 3
+            assert respec.refreshes == 3
             assert serving.slot.version == v_before + 1  # published once
             assert registry.latest_version(serving.key) == v_before + 1
 
         try:
             asyncio.run(scenario())
-        finally:
-            serving.close()
-
-    def test_no_stream_attached_is_501(self, tmp_path):
-        from repro.serve.bootstrap import build_service, demo_dataset
-
-        server, serving, _ = build_service(
-            demo_dataset(seed=0),
-            tmp_path / "registry",
-            generations=1,
-            population_size=6,
-        )
-        try:
-            reply = asyncio.run(
-                serving.handle_observe_stream(
-                    {"application": "app0", "profiles": _profiles(2, seed=1)}
-                )
-            )
-            assert reply == {
-                "ok": False,
-                "status": 501,
-                "error": reply["error"],
-            }
-            assert "attach_stream" in reply["error"]
         finally:
             serving.close()
 
@@ -728,13 +760,13 @@ class TestObserveStreamServing:
 
         async def scenario():
             v_before = serving.slot.version
-            reply = await serving.handle_observe_stream(
+            reply = await serving.handle_observe(
                 {"application": "app0", "profiles": _profiles(8, seed=13)}
             )
             assert reply["ok"] and reply["drift_tripped"]
             assert reply["respec_scheduled"]
             await serving.wait_for_update()
-            assert serving.stats.stream_respecs == 1
+            assert serving.stats.updates_failed == 0
             assert serving.slot.version == v_before + 1
             assert registry.latest_version(serving.key) == v_before + 1
             assert serving.stats_dict()["stream"]["respecs"] == 1
@@ -773,7 +805,7 @@ class TestObserveStreamServing:
 
         async def scenario():
             v_before = serving.slot.version
-            reply = await serving.handle_observe_stream(
+            reply = await serving.handle_observe(
                 {"application": "app0", "profiles": _profiles(8, seed=17)}
             )
             assert reply["ok"] and reply["respec_scheduled"]
@@ -789,9 +821,9 @@ class TestObserveStreamServing:
                 # ...the respec task must be parked on the lock, publish
                 # not yet visible anywhere.
                 assert serving.slot.version == v_before
-                assert serving.stats.stream_respecs == 0
+                assert serving.stats.last_published_version == v_before
             await serving.wait_for_update()
-            assert serving.stats.stream_respecs == 1
+            assert serving.stats.last_published_version == v_before + 1
             assert serving.slot.version == v_before + 1
 
         try:

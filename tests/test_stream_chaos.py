@@ -174,7 +174,7 @@ class TestIngestFaults:
         async def scenario():
             plan = FaultPlan.parse("stream.ingest=raise@1", seed=CHAOS_SEED)
             with faults.armed(plan):
-                reply = await serving.handle_observe_stream(
+                reply = await serving.handle_observe(
                     {"application": "app0", "profiles": _profiles(8, seed=21)}
                 )
             assert plan.injected_counts() == [1]
@@ -188,12 +188,12 @@ class TestIngestFaults:
             assert serving.stats_dict()["stream"]["failed"] == 1
 
             # Fault exhausted: the very next batch streams through.
-            reply = await serving.handle_observe_stream(
+            reply = await serving.handle_observe(
                 {"application": "app0", "profiles": _profiles(8, seed=22)}
             )
             assert reply["ok"]
             assert respec.batches_ingested == 1
-            assert serving.stats.stream_batches == 1
+            assert serving.stats_dict()["stream"]["batches_ingested"] == 1
 
         asyncio.run(scenario())
 
@@ -209,7 +209,7 @@ class TestRespecFaults:
             v_before = serving.slot.version
             plan = FaultPlan.parse("stream.respec=raise@1", seed=CHAOS_SEED)
             with faults.armed(plan):
-                reply = await serving.handle_observe_stream(
+                reply = await serving.handle_observe(
                     {"application": "app0", "profiles": _profiles(8, seed=31)}
                 )
                 assert reply["ok"] and reply["respec_scheduled"]
@@ -219,7 +219,7 @@ class TestRespecFaults:
             # Degraded, not down: slot and registry keep the last-good
             # model, the failure is visible in stats and the gauge.
             assert serving.stats.updates_failed == 1
-            assert serving.stats.stream_respecs == 0
+            assert serving.stats_dict()["stream"]["respecs"] == 0
             assert serving.stats.last_error.startswith("InjectedFault")
             assert obs.gauge("serve.update_last_error").value == 1.0
             assert serving.slot.version == v_before
@@ -227,12 +227,12 @@ class TestRespecFaults:
 
             # The drift latch is still set, so the next batch re-schedules
             # the re-specification; fault exhausted, it completes and swaps.
-            reply = await serving.handle_observe_stream(
+            reply = await serving.handle_observe(
                 {"application": "app0", "profiles": _profiles(8, seed=32)}
             )
             assert reply["ok"] and reply["respec_scheduled"]
             await serving.wait_for_update()
-            assert serving.stats.stream_respecs == 1
+            assert serving.stats_dict()["stream"]["respecs"] == 1
             assert serving.stats.last_error is None
             assert obs.gauge("serve.update_last_error").value == 0.0
             assert serving.slot.version == v_before + 1
