@@ -18,6 +18,13 @@ Both paths draw the same split seed (same search seed) and score on the
 same fixed per-application splits, so the comparison is like-for-like;
 the benchmark asserts both searches converge to the same best
 specification (or the same fitness to 1e-8) before quoting a speedup.
+
+A second search (``search_discrete``) draws the hardware columns from a
+few discrete levels, as the experiment drivers' design spaces do.  Their
+cubic and spline bases alias the intercept, which the engine's prune
+must catch: the search asserts the same winner as the oracle and that
+every fit took the Cholesky path (``lstsq_fallbacks == 0``).  Only its
+``speedup`` gates; its counts are informational.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_genetic.json"
 N_APPS = 4 if SMOKE else 8
 N_PER_APP = 20 if SMOKE else 40
 POPULATION, GENERATIONS = (8, 2) if SMOKE else (20, 4)
+#: Levels of the two hardware parameters in the discrete-levels search.
+HW_LEVELS = ((0.5, 1.0, 2.0, 4.0), (1.0, 2.0, 3.0))
 
 RESULTS: dict = {}
 
@@ -65,14 +74,17 @@ def _write_report():
         obs.export_jsonl(report_dir / "metrics_genetic.jsonl", run="genetic")
 
 
-def _dataset() -> ProfileDataset:
+def _dataset(hw_levels=None) -> ProfileDataset:
     rng = np.random.default_rng(0)
     ds = ProfileDataset(("x1", "x2", "x3"), ("y1", "y2"))
     apps = [f"app{k}" for k in range(N_APPS)]
     for k, app in enumerate(apps):
         for _ in range(N_PER_APP):
             x = rng.normal(loc=k * 0.5, scale=1.0, size=3)
-            y = rng.uniform(0.5, 2.0, size=2)
+            if hw_levels is None:
+                y = rng.uniform(0.5, 2.0, size=2)
+            else:
+                y = np.array([rng.choice(levels) for levels in hw_levels])
             z = (
                 2.0 + 0.5 * x[0] - 0.3 * x[1] + 0.2 * x[2] ** 2
                 + 0.8 * y[0] + 0.4 * x[0] * y[0]
@@ -131,6 +143,26 @@ class TestEngineSpeedup:
         }
         if not SMOKE:
             assert speedup >= 5.0, f"expected >=5x, measured {speedup:.2f}x"
+
+    def test_discrete_hardware_levels(self):
+        """Hardware columns on a few levels, like the drivers' datasets:
+        the same winner as the oracle, and no fit leaves the Cholesky path."""
+        ds = _dataset(HW_LEVELS)
+        reference, ref_seconds, _ = _timed_search(ds, evaluate_spec)
+        engine, eng_seconds, stats = _timed_search(ds, None)
+        assert engine.best_chromosome == reference.best_chromosome
+        assert stats["lstsq_fallbacks"] == 0
+        assert stats["failed_fits"] == 0
+        RESULTS["search_discrete"] = {
+            "speedup": round(ref_seconds / eng_seconds, 2),
+            "hw_levels": [len(levels) for levels in HW_LEVELS],
+            "candidates_scored": int(stats["candidates_scored"]),
+            "engine_evaluations": int(stats["engine_evaluations"]),
+            "gram_fits": int(stats["gram_fits"]),
+            "lstsq_fallbacks": int(stats["lstsq_fallbacks"]),
+            "best_fitness_reference": reference.best_fitness.fitness,
+            "best_fitness_engine": engine.best_fitness.fitness,
+        }
 
 
 class TestObservabilityOverhead:

@@ -10,9 +10,16 @@ Two mechanisms:
 
 * :func:`prune_correlated` removes columns whose pairwise correlation with
   an earlier-kept column exceeds a threshold;
-* :func:`prune_rank_deficient` removes columns that a rank-revealing QR
-  factorization identifies as (numerically) linearly dependent — catching
-  exact multi-way dependences that pairwise screening misses.
+* :func:`prune_rank_deficient` removes columns that a Gram-Schmidt sweep
+  identifies as (numerically) linearly dependent — catching exact
+  multi-way dependences that pairwise screening misses.
+
+:func:`prune_design` runs the rank sweep on the intercept-augmented design
+``[1 | X]`` that every fit solves.  A hardware parameter takes only a few
+levels, so the cubic and spline bases of its standardized view can
+reproduce the constant column exactly (a 4-level variable's ``x, x², x³``
+and a knot column span the constant); swept without the intercept, such a
+column survives and leaves the fitted system singular.
 
 :func:`variance_inflation_factors` provides the standard VIF diagnostic
 for reporting.
@@ -49,18 +56,17 @@ def prune_correlated(
         return []
     stds = matrix.std(axis=0)
     centered = matrix - matrix.mean(axis=0)
+    # Every pairwise correlation in one product; constant columns divide
+    # by zero here but are skipped before their row or column is read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = (centered.T @ centered) / ((n * stds)[:, None] * stds[None, :])
     kept: List[int] = []
     for j in range(p):
         if stds[j] < 1e-12:
             continue
-        redundant = False
-        for k in kept:
-            r = float(centered[:, j] @ centered[:, k]) / (n * stds[j] * stds[k])
-            if abs(r) > threshold:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(j)
+        if (np.abs(corr[j, kept]) > threshold).any():
+            continue
+        kept.append(j)
     return kept
 
 
@@ -72,23 +78,26 @@ def prune_rank_deficient(
 
     Greedy Gram-Schmidt sweep: a column is kept when its residual, after
     projecting out the span of previously kept columns, retains at least
-    ``tolerance`` of its norm.
+    ``tolerance`` of its norm.  Each column is projected against the whole
+    kept basis at once, twice: one pass of classical Gram-Schmidt loses
+    orthogonality on nearly dependent columns, and a second restores it.
     """
     matrix = np.asarray(matrix, dtype=float)
-    p = matrix.shape[1]
+    n, p = matrix.shape
     kept: List[int] = []
-    basis: List[np.ndarray] = []
+    basis = np.empty((p, n))  # orthonormal kept directions, one per row
     for j in range(p):
-        v = matrix[:, j].astype(float)
+        v = matrix[:, j].copy()
         norm0 = np.linalg.norm(v)
         if norm0 < 1e-300:
             continue
-        for q in basis:
-            v = v - (q @ v) * q
+        q = basis[: len(kept)]
+        for _ in range(2):
+            v -= q.T @ (q @ v)
         norm = np.linalg.norm(v)
         if norm > tolerance * norm0:
+            basis[len(kept)] = v / norm
             kept.append(j)
-            basis.append(v / norm)
     return kept
 
 
@@ -99,6 +108,10 @@ def prune_design(
 ) -> Tuple[np.ndarray, List[str], List[int]]:
     """Full collinearity pipeline: correlation screen, then rank repair.
 
+    The rank sweep runs on ``[1 | X]`` with the intercept first, so it is
+    always kept and any column in the span of the intercept and the
+    columns before it is dropped: ``[1 | pruned]`` has full column rank.
+
     Returns the pruned matrix, the surviving column names, and the kept
     column indices (into the original matrix).
     """
@@ -106,9 +119,8 @@ def prune_design(
     if matrix.shape[1] != len(column_names):
         raise ValueError("column_names length must match matrix width")
     keep1 = prune_correlated(matrix, correlation_threshold)
-    reduced = matrix[:, keep1]
-    keep2 = prune_rank_deficient(reduced)
-    kept = [keep1[j] for j in keep2]
+    augmented = np.column_stack([np.ones(len(matrix)), matrix[:, keep1]])
+    kept = [keep1[j - 1] for j in prune_rank_deficient(augmented) if j]
     return matrix[:, kept], [column_names[j] for j in kept], kept
 
 

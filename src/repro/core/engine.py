@@ -16,28 +16,36 @@ a population:
    per-application train/validation blocks, and realizes application s's
    weighted fit on ``{P_-s, T_s} × w`` as the block update
    ``G_total - G_val(s) + (w - 1) · G_train(s)`` followed by an O(p³)
-   Cholesky solve — falling back to the reference ``lstsq`` path whenever
-   the Gram system is ill-conditioned (:func:`solve_gram` declines).
+   :func:`solve_gram`.  The design is pruned against the intercept once
+   per spec, so the Gram system factors by Cholesky; a singular one (an
+   application's held-out rows can remove the last rows that separate two
+   columns) gets :func:`solve_gram`'s minimum-norm solution, which the
+   engine counts as ``lstsq_fallbacks`` in :meth:`FitnessEngine.stats`.
 3. **Re-scoring identical specs.**  Handled one level up:
    :class:`repro.core.genetic.GeneticSearch` memoizes engine results by
    chromosome, which is sound because the engine's splits are fixed per
    search (:func:`repro.core.fitness.derive_app_splits`).
+
+The engine scores what :class:`repro.core.genetic.GeneticSearch` asks
+for: the log response, :data:`DEFAULT_TRAINING_WEIGHT` and the default
+train fraction of :func:`derive_app_splits`.
 
 Equivalence guarantees (also documented in DESIGN.md): the engine solves
 the *same* weighted least-squares problems as the oracle over the same
 fixed splits, with two deliberate batching deviations — transform state
 (powers, centering, knots) is estimated once on the full dataset instead
 of per-application training unions, and collinearity pruning is decided
-once on the full design instead of per application.  On well-conditioned
-data the Gram solve matches :func:`fit_ols` to ~1e-8 (property-tested);
-the benchmark suite additionally checks that a seeded search converges to
-the same best specification on both paths.
+once on the full design instead of per application.  The Gram solve
+matches :func:`fit_ols`'s predictions to ~1e-8 (property-tested, also on
+designs with duplicate and intercept-aliased columns); the benchmark
+suite additionally checks that a seeded search converges to the same best
+specification on both paths.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,18 +55,16 @@ from repro.core.dataset import ProfileDataset
 from repro.core.design import ModelSpec
 from repro.core.fitness import (
     DEFAULT_TRAINING_WEIGHT,
-    DEFAULT_TRAIN_FRACTION,
     FAILED_FITNESS,
     FitnessResult,
     derive_app_splits,
 )
 from repro.core.metrics import median_error
-from repro.core.model import RESPONSE_TRANSFORMS
-from repro.core.regression import (
-    GRAM_CONDITION_LIMIT,
-    fit_ols,
-    solve_gram,
-)
+from repro.core.regression import solve_gram
+
+# Unused here; perfbench's tracer (perfbench/tracing.py) patches this name
+# and fails when it is missing.
+from repro.core.regression import fit_ols  # noqa: F401
 from repro.core.transforms import (
     TransformKind,
     choose_ladder_power,
@@ -82,11 +88,10 @@ class ColumnStore:
     expressions).
     """
 
-    def __init__(self, dataset: ProfileDataset, auto_stabilize: bool = True):
+    def __init__(self, dataset: ProfileDataset):
         self._matrix = dataset.matrix()
         self._names = dataset.variable_names
         self._index = {name: i for i, name in enumerate(self._names)}
-        self.auto_stabilize = auto_stabilize
         self._stabilized: Dict[str, np.ndarray] = {}
         self._blocks: Dict[Tuple[str, TransformKind], Tuple[np.ndarray, Tuple[str, ...]]] = {}
         self._products: Dict[Tuple[str, str], np.ndarray] = {}
@@ -114,8 +119,7 @@ class ColumnStore:
         if name not in self._index:
             raise ValueError(f"spec references unknown variable {name!r}")
         values = self._matrix[:, self._index[name]]
-        power = choose_ladder_power(values) if self.auto_stabilize else 1
-        z = stabilize(values, power)
+        z = stabilize(values, choose_ladder_power(values))
         center = float(z.mean())
         scale = float(z.std())
         if scale < 1e-12:
@@ -204,41 +208,23 @@ class FitnessEngine:
     Gram accumulation, and |apps| block-updated Cholesky solves.
     """
 
-    def __init__(
-        self,
-        dataset: ProfileDataset,
-        split_seed: int,
-        weight: float = DEFAULT_TRAINING_WEIGHT,
-        train_fraction: float = DEFAULT_TRAIN_FRACTION,
-        response: str = "log",
-        auto_stabilize: bool = True,
-        condition_limit: float = GRAM_CONDITION_LIMIT,
-    ):
-        if response not in RESPONSE_TRANSFORMS:
-            raise ValueError(
-                f"response must be one of {sorted(RESPONSE_TRANSFORMS)}, got {response!r}"
-            )
+    def __init__(self, dataset: ProfileDataset, split_seed: int):
         self.dataset = dataset
-        self.weight = float(weight)
-        self.response = response
-        self.condition_limit = condition_limit
-        self.store = ColumnStore(dataset, auto_stabilize=auto_stabilize)
-        self.splits = derive_app_splits(dataset, split_seed, train_fraction)
+        self.store = ColumnStore(dataset)
+        self.splits = derive_app_splits(dataset, split_seed)
         self.applications = dataset.applications
         targets = dataset.targets()
         self._targets = targets
-        forward, _ = RESPONSE_TRANSFORMS[response]
-        self._bad_targets = response in ("log", "sqrt") and bool(
-            (targets <= 0).any()
-        )
-        self._y = None if self._bad_targets else forward(targets)
+        self._bad_targets = bool((targets <= 0).any())
+        self._y = None if self._bad_targets else np.log(targets)
         self.specs_evaluated = 0
         self.gram_fits = 0
+        # Fits solved by solve_gram's minimum-norm branch.  The key keeps
+        # its historical name: perfbench's build signature reads it.
         self.lstsq_fallbacks = 0
         self.failed_fits = 0
         self._obs_specs = obs.counter("engine.specs_evaluated")
         self._obs_gram = obs.counter("engine.gram_fits")
-        self._obs_lstsq = obs.counter("engine.lstsq_fallbacks")
         self._obs_failed = obs.counter("engine.failed_fits")
 
     # -- public API ---------------------------------------------------------------
@@ -312,63 +298,40 @@ class FitnessEngine:
     ) -> float:
         if self._bad_targets:
             # The oracle's InferredModel.fit raises for non-positive
-            # targets on a log/sqrt response, failing every application.
+            # targets on the log response, failing every application.
             return FAILED_FITNESS
         train_idx, val_idx = self.splits[app]
         if len(train_idx) == 0 or len(val_idx) == 0:
             return FAILED_FITNESS
         g_train, g_val, m_train, m_val = blocks[app]
-        gram = gram_total - g_val + (self.weight - 1.0) * g_train
+        extra = DEFAULT_TRAINING_WEIGHT - 1.0
+        gram = gram_total - g_val + extra * g_train
         gram = (gram + gram.T) * 0.5
-        moment = moment_total - m_val + (self.weight - 1.0) * m_train
-        fit = solve_gram(gram, moment, kept_names, self.condition_limit)
+        moment = moment_total - m_val + extra * m_train
+        fit = solve_gram(gram, moment, kept_names)
         if fit is None:
-            beta = self._lstsq_fallback(app, augmented, kept_names)
-            if beta is None:
-                self.failed_fits += 1
-                self._obs_failed.inc()
-                return FAILED_FITNESS
+            self.failed_fits += 1
+            self._obs_failed.inc()
+            return FAILED_FITNESS
+        if fit.min_norm:
+            self.lstsq_fallbacks += 1
         else:
             self.gram_fits += 1
             self._obs_gram.inc()
-            beta = np.concatenate([[fit.intercept], fit.coefficients])
+        beta = np.concatenate([[fit.intercept], fit.coefficients])
         linear = augmented[val_idx] @ beta
-        if self.response == "log":
-            linear = np.clip(linear, -_LOG_PREDICTION_CLIP, _LOG_PREDICTION_CLIP)
-        _, inverse = RESPONSE_TRANSFORMS[self.response]
-        predictions = inverse(linear)
+        linear = np.clip(linear, -_LOG_PREDICTION_CLIP, _LOG_PREDICTION_CLIP)
+        predictions = np.exp(linear)
         if not np.isfinite(predictions).all():
             return FAILED_FITNESS
         targets = self._targets[val_idx]
         return min(median_error(predictions, targets), FAILED_FITNESS)
-
-    def _lstsq_fallback(self, app, augmented, kept_names) -> Optional[np.ndarray]:
-        """The retained reference path: row-level weighted ``lstsq``."""
-        self.lstsq_fallbacks += 1
-        self._obs_lstsq.inc()
-        train_idx, val_idx = self.splits[app]
-        mask = np.ones(self.store.n_rows, dtype=bool)
-        mask[val_idx] = False
-        weights = np.ones(self.store.n_rows)
-        weights[train_idx] = self.weight
-        try:
-            fit = fit_ols(
-                augmented[mask][:, 1:],
-                self._y[mask],
-                kept_names,
-                weights[mask],
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-        return np.concatenate([[fit.intercept], fit.coefficients])
 
 
 def evaluate_chunk(
     dataset: ProfileDataset,
     split_seed: int,
     specs: Sequence[ModelSpec],
-    weight: float = DEFAULT_TRAINING_WEIGHT,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
 ) -> Tuple[List[FitnessResult], Dict[str, float]]:
     """Score a chunk of specs with one shared engine (worker entry point).
 
@@ -379,9 +342,7 @@ def evaluate_chunk(
     whose worker died without changing any result.
     """
     faults.site("engine.evaluate_chunk")
-    engine = FitnessEngine(
-        dataset, split_seed, weight=weight, train_fraction=train_fraction
-    )
+    engine = FitnessEngine(dataset, split_seed)
     return engine.evaluate_many(specs), engine.stats()
 
 

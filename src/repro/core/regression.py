@@ -5,15 +5,21 @@ columns c, solved by numpy's (SVD-backed) least squares.  Weighted fits
 implement the paper's model-update step, which fits ``{P_-s, T_s} x w`` —
 the new application's training profiles replicated/weighted by w (§3.3).
 
-For the genetic search's leave-one-application-out inner loop, the same
-weighted fit is also available in **Gram (normal-equation) form**:
-:func:`accumulate_gram` reduces a design block to ``(XᵀWX, XᵀWy)``
-contributions that are *additive over rows*, so per-application fits can
-be realized as cheap block updates of one shared accumulation, and
-:func:`solve_gram` solves the resulting p×p system by Cholesky.  The Gram
-path squares the condition number of the design, so :func:`solve_gram`
-refuses (returns ``None``) when the system is ill-conditioned and callers
-fall back to the SVD-backed :func:`fit_ols`.
+For the genetic search's leave-one-application-out inner loop and the
+streaming coefficient refresh, the same weighted fit is also available in
+**Gram (normal-equation) form**: :func:`accumulate_gram` reduces a design
+block to ``(XᵀWX, XᵀWy)`` contributions that are *additive over rows*, so
+per-application fits can be realized as cheap block updates of one shared
+accumulation, and :func:`solve_gram` solves the resulting p×p system.
+
+:func:`solve_gram` is the one normal-equations solver.  It solves by
+Cholesky; when Cholesky fails (the Gram is singular) it returns the
+minimum-norm solution from one symmetric eigendecomposition.  Callers keep
+the Gram factorable by pruning the intercept-augmented design first
+(:func:`repro.core.collinearity.prune_design`), so the minimum-norm branch
+is the exception.  :func:`fit_ols` stays as the batch solver of
+:class:`~repro.core.model.InferredModel` and as the oracle the property
+tests compare the Gram path against.
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Condition-number limit of the (intercept-augmented) Gram matrix beyond
-#: which :func:`solve_gram` declines to solve.  cond(XᵀX) ≈ cond(X)², so
-#: 1e10 corresponds to a design condition of ~1e5 — comfortably inside the
-#: regime where the Cholesky solution matches lstsq to ~1e-8.
-GRAM_CONDITION_LIMIT = 1e10
+from repro import obs
+
+#: Relative eigenvalue cutoff of :func:`solve_gram`'s minimum-norm branch:
+#: eigenvalues at or below ``MIN_NORM_RCOND * max|λ|`` are treated as zero.
+#: The same cutoff as ``numpy.linalg.pinv(hermitian=True)``.
+MIN_NORM_RCOND = 1e-15
 
 
 @dataclasses.dataclass
@@ -37,6 +44,8 @@ class LinearFit:
     intercept: float
     coefficients: np.ndarray
     column_names: Tuple[str, ...]
+    #: Solved by :func:`solve_gram`'s minimum-norm branch (singular Gram).
+    min_norm: bool = False
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         # C-contiguous + einsum instead of a bare `@`: BLAS gemv/gemm block
@@ -147,13 +156,18 @@ def solve_gram(
     gram: np.ndarray,
     moment: np.ndarray,
     column_names: Optional[Sequence[str]] = None,
-    condition_limit: float = GRAM_CONDITION_LIMIT,
 ) -> Optional[LinearFit]:
     """Solve normal equations ``G b = m`` from :func:`accumulate_gram`.
 
-    Returns ``None`` — the caller should fall back to :func:`fit_ols` on
-    the actual rows — when the system is not symmetric positive definite
-    (Cholesky fails) or its condition number exceeds ``condition_limit``.
+    A symmetric positive definite ``G`` is solved directly once Cholesky
+    has factored it.  When Cholesky or the solve fails, the result is the
+    minimum-norm solution ``G⁺ m`` — the ``X⁺ y`` of an SVD least-squares
+    fit on the rows — and carries ``min_norm=True``.  Near-singular
+    systems that Cholesky factors are solved as they are: a condition
+    cutoff would truncate directions the fit needs.  Cholesky can also
+    factor an exactly singular system that rounding left barely positive,
+    so callers prune collinear columns (intercept included) first.
+    Returns ``None`` only when the blocks are not finite.
     """
     gram = np.asarray(gram, dtype=float)
     moment = np.asarray(moment, dtype=float)
@@ -172,15 +186,21 @@ def solve_gram(
         return None
     try:
         np.linalg.cholesky(gram)
+        solution = np.linalg.solve(gram, moment)
+        min_norm = False
     except np.linalg.LinAlgError:
-        return None
-    if np.linalg.cond(gram) > condition_limit:
-        return None
-    solution = np.linalg.solve(gram, moment)
+        obs.counter("regression.min_norm_solves").inc()
+        values, vectors = np.linalg.eigh(gram)
+        magnitude = np.abs(values)
+        keep = magnitude > MIN_NORM_RCOND * magnitude.max()
+        basis = vectors[:, keep]
+        solution = basis @ ((basis.T @ moment) / values[keep])
+        min_norm = True
     return LinearFit(
         intercept=float(solution[0]),
         coefficients=solution[1:].copy(),
         column_names=tuple(column_names),
+        min_norm=min_norm,
     )
 
 

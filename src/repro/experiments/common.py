@@ -408,7 +408,7 @@ def run_genetic_search(
         return search.run(dataset, gens, initial_population=initial)
 
     key = (
-        f"ga-v13|{scale.name}|{seed}|{gens}|{len(dataset)}|{tag}|"
+        f"ga-v14|{scale.name}|{seed}|{gens}|{len(dataset)}|{tag}|"
         f"{hashlib.sha256(dataset.targets().tobytes()).hexdigest()[:16]}"
     )
     if initial_population is not None:

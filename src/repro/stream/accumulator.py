@@ -7,7 +7,9 @@ dataset are the sum of the blocks of any partition of its rows.  A
 observations are reduced to rank-k contributions and folded into one
 running pair of blocks, so refreshing the incumbent model's coefficients
 is a p×p :func:`~repro.core.regression.solve_gram` instead of a re-reduce
-of every row ever seen.
+of every row ever seen.  ``solve_gram`` is the same solver the fitness
+engine uses: Cholesky, or the minimum-norm solution when the Gram is
+singular.
 
 Equivalence contract (asserted by ``tests/test_stream.py``): folding the
 same rows in N batches produces blocks equal to a one-shot
@@ -146,32 +148,14 @@ class GramAccumulator:
     def solve(self) -> Optional[LinearFit]:
         """Coefficients over everything accumulated so far.
 
-        The fast path is the Cholesky :func:`solve_gram`.  When it refuses
-        — the surviving design columns are collinear (spline bases over few
-        distinct knot values leave the Gram rank-deficient) — the solver
-        falls back to the minimum-norm solution ``pinv(G) m``, which equals
-        the ``X⁺y`` that the batch path's SVD lstsq produces.  Still a p×p
-        solve; no row re-reduce either way.  ``None`` only when there are
-        fewer rows than columns (genuinely underdetermined — callers keep
-        the incumbent coefficients and wait for evidence) or the blocks
-        are non-finite.
+        One p×p :func:`solve_gram`, with no row re-reduce.  ``None`` when
+        there are fewer rows than columns (genuinely underdetermined —
+        callers keep the incumbent coefficients and wait for evidence) or
+        the blocks are non-finite.
         """
-        fit = solve_gram(self.gram, self.moment, self.model.fit_column_names)
-        if fit is not None:
-            return fit
         if self.rows < len(self.moment):
             return None
-        if not (np.isfinite(self.gram).all() and np.isfinite(self.moment).all()):
-            return None
-        solution = np.linalg.pinv(self.gram, hermitian=True) @ self.moment
-        if not np.isfinite(solution).all():
-            return None
-        obs.counter("stream.solve_pinv_fallbacks").inc()
-        return LinearFit(
-            intercept=float(solution[0]),
-            coefficients=solution[1:].copy(),
-            column_names=tuple(self.model.fit_column_names),
-        )
+        return solve_gram(self.gram, self.moment, self.model.fit_column_names)
 
     def refresh(self) -> Optional[InferredModel]:
         """A model with refreshed coefficients, or ``None`` if unsolvable."""

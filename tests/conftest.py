@@ -32,19 +32,25 @@ def make_synthetic_dataset(
     noise=0.01,
     seed=0,
     nonlinear=False,
+    hw_levels=None,
 ):
     """A controlled regression dataset with known structure.
 
     z = 2 + 0.5*x1 - 0.3*x2 + 0.8*y1 + 0.4*x1*y1 (+ optional x2^2) + noise,
     with a per-application shift in the x distribution so per-application
-    splitting is meaningful.
+    splitting is meaningful.  Hardware values are uniform on [0.5, 2], or
+    drawn from ``hw_levels`` — a few discrete levels, like the hardware
+    parameters of a design space.
     """
     rng = np.random.default_rng(seed)
     ds = ProfileDataset(("x1", "x2"), ("y1", "y2"))
     for k, app in enumerate(apps):
         for _ in range(n_per_app):
             x = rng.normal(loc=k, scale=1.0, size=2)
-            y = rng.uniform(0.5, 2.0, size=2)
+            if hw_levels is None:
+                y = rng.uniform(0.5, 2.0, size=2)
+            else:
+                y = rng.choice(hw_levels, size=2)
             z = 2.0 + 0.5 * x[0] - 0.3 * x[1] + 0.8 * y[0] + 0.4 * x[0] * y[0]
             if nonlinear:
                 z += 0.6 * x[1] ** 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DesignMatrixBuilder,
@@ -14,6 +16,41 @@ from repro.core import (
     variance_inflation_factors,
 )
 from tests.conftest import make_synthetic_dataset
+
+
+def prune_correlated_loop(matrix, threshold=0.995):
+    """Reference: the pairwise screen one dot product at a time."""
+    n, p = matrix.shape
+    stds = matrix.std(axis=0)
+    centered = matrix - matrix.mean(axis=0)
+    kept = []
+    for j in range(p):
+        if stds[j] < 1e-12:
+            continue
+        if not any(
+            abs(float(centered[:, j] @ centered[:, k]) / (n * stds[j] * stds[k]))
+            > threshold
+            for k in kept
+        ):
+            kept.append(j)
+    return kept
+
+
+def prune_rank_deficient_loop(matrix, tolerance=1e-8):
+    """Reference: modified Gram-Schmidt, one basis vector at a time."""
+    kept, basis = [], []
+    for j in range(matrix.shape[1]):
+        v = matrix[:, j].astype(float)
+        norm0 = np.linalg.norm(v)
+        if norm0 < 1e-300:
+            continue
+        for q in basis:
+            v = v - (q @ v) * q
+        norm = np.linalg.norm(v)
+        if norm > tolerance * norm0:
+            kept.append(j)
+            basis.append(v / norm)
+    return kept
 
 
 def spec_for(ds, **kinds):
@@ -169,6 +206,22 @@ class TestCollinearity:
         assert names == ["a", "b"]
         assert pruned.shape[1] == 2
 
+    def test_prune_design_drops_intercept_aliased_knot(self):
+        """A 4-level hardware variable: its x, x², x³ and one knot column
+        span every function of the level, the constant included.  The rank
+        sweep runs against the intercept, so the knot column goes and
+        ``[1 | pruned]`` keeps full column rank."""
+        ds = make_synthetic_dataset(hw_levels=(0.5, 1.0, 1.5, 2.0))
+        builder = DesignMatrixBuilder(spec_for(ds, y1="spline"))
+        design = builder.fit_transform(ds)
+        names = list(builder.column_names)
+        assert names[:3] == ["y1", "y1^2", "y1^3"]
+        assert any("~k" in name for name in names[3:])
+        pruned, kept_names, _ = prune_design(design, names)
+        assert kept_names == ["y1", "y1^2", "y1^3"]
+        augmented = np.column_stack([np.ones(len(ds)), pruned])
+        assert np.linalg.matrix_rank(augmented) == augmented.shape[1]
+
     def test_prune_design_validates_names(self):
         with pytest.raises(ValueError):
             prune_design(np.zeros((5, 2)), ["only-one"])
@@ -198,3 +251,22 @@ class TestCollinearity:
         matrix = np.log(np.column_stack([temporal_64, temporal_256, spatial]))
         kept = prune_rank_deficient(matrix)
         assert len(kept) == 2
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(8, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_vectorized_sweeps_match_loop_references(self, seed, p, n):
+        """Both sweeps keep exactly the columns their one-vector-at-a-time
+        references keep, on designs with duplicated, summed, constant and
+        intercept-aliased (4-level cubic-plus-knot) columns."""
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n, p))
+        levels = np.array([0.5, 1.0, 2.0, 4.0])[rng.integers(0, 4, size=n)]
+        z = (levels - levels.mean()) / max(levels.std(), 1e-12)
+        matrix = np.column_stack([
+            base, base[:, 0], base[:, 0] + base[:, -1], np.full(n, 3.0),
+            z, z**2, z**3, np.maximum(z - np.median(z), 0.0) ** 3,
+        ])
+        matrix = matrix[:, rng.permutation(matrix.shape[1])]
+        assert prune_correlated(matrix) == prune_correlated_loop(matrix)
+        augmented = np.column_stack([np.ones(n), matrix])
+        assert prune_rank_deficient(augmented) == prune_rank_deficient_loop(augmented)

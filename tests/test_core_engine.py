@@ -5,10 +5,11 @@ Three layers of checks:
 * the :class:`ColumnStore` reproduces ``DesignMatrixBuilder`` columns
   bit-for-bit when both are fitted on the same dataset;
 * the engine's Gram-path fits match a row-level weighted-``lstsq``
-  reference over the *same shared columns* to ~1e-8, and the forced
-  ``lstsq`` fallback agrees with the Gram path;
+  reference over the *same shared columns* to ~1e-8, and the minimum-norm
+  branch of ``solve_gram`` agrees with its Cholesky branch;
 * engine fitness tracks the reference oracle closely enough to preserve
-  ranking on structured data, and degenerate inputs fail the same way.
+  ranking on structured data (and equals it on discrete hardware levels,
+  all on the Cholesky path), and degenerate inputs fail the same way.
 """
 
 import numpy as np
@@ -124,21 +125,28 @@ class TestEngineAgainstRowLevelReference:
         for app, error in expected.items():
             assert result.per_application[app] == pytest.approx(error, abs=1e-8)
 
-    def test_forced_fallback_matches_gram(self, dataset):
-        """condition_limit below 1 rejects every Cholesky solve, forcing
-        the lstsq fallback — which must agree with the Gram path."""
+    def test_min_norm_branch_matches_cholesky(self, dataset, monkeypatch):
+        """A Cholesky that always fails forces solve_gram's minimum-norm
+        branch for every application — which must agree with the
+        Cholesky path and be tallied as ``lstsq_fallbacks``."""
         spec = spec_from_genes(
             dataset.variable_names, (2, 3, 1, 4), frozenset({("x1", "y1")})
         )
         gram_engine = FitnessEngine(dataset, 5)
-        fallback_engine = FitnessEngine(dataset, 5, condition_limit=0.5)
         a = gram_engine.evaluate(spec)
-        b = fallback_engine.evaluate(spec)
+
+        def no_cholesky(matrix):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        min_norm_engine = FitnessEngine(dataset, 5)
+        b = min_norm_engine.evaluate(spec)
         assert gram_engine.lstsq_fallbacks == 0
         assert gram_engine.gram_fits == len(dataset.applications)
-        assert fallback_engine.gram_fits == 0
-        assert fallback_engine.lstsq_fallbacks == len(dataset.applications)
-        assert a.mean_error == pytest.approx(b.mean_error, abs=1e-8)
+        assert min_norm_engine.gram_fits == 0
+        assert min_norm_engine.lstsq_fallbacks == len(dataset.applications)
+        for app, error in a.per_application.items():
+            assert b.per_application[app] == pytest.approx(error, abs=1e-8)
 
 
 class TestEngineAgainstOracle:
@@ -157,6 +165,29 @@ class TestEngineAgainstOracle:
             assert batched.mean_error == pytest.approx(
                 oracle.mean_error, abs=5e-3
             )
+
+    @pytest.mark.parametrize(
+        "genes,interactions",
+        [
+            ((1, 1, 4, 4), frozenset()),
+            ((1, 2, 4, 3), frozenset({("x1", "y1")})),
+            ((2, 1, 4, 4), frozenset({("x1", "y1"), ("x2", "y2")})),
+        ],
+    )
+    def test_discrete_hardware_levels_match_oracle(self, genes, interactions):
+        """Hardware parameters take a few levels, so their cubic and spline
+        bases alias the intercept.  The shared prune drops those columns:
+        every fit takes the Cholesky path and equals the oracle's."""
+        ds = make_synthetic_dataset(hw_levels=(0.5, 1.0, 1.5, 2.0))
+        spec = spec_from_genes(ds.variable_names, genes, interactions)
+        splits = derive_app_splits(ds, 9)
+        engine = FitnessEngine(ds, 9)
+        batched = engine.evaluate(spec)
+        oracle = evaluate_spec(spec, ds, np.random.default_rng(0), splits=splits)
+        for app, error in oracle.per_application.items():
+            assert batched.per_application[app] == pytest.approx(error, rel=1e-6)
+        assert engine.lstsq_fallbacks == 0
+        assert engine.gram_fits == len(ds.applications)
 
     def test_degenerate_application_fails(self):
         ds = make_synthetic_dataset(n_per_app=1, apps=("solo", "duo"))
@@ -182,10 +213,6 @@ class TestEngineAgainstOracle:
         spec = spec_from_genes(ds.variable_names, (1, 1))
         result = engine.evaluate(spec)
         assert result.mean_error == FAILED_FITNESS
-
-    def test_invalid_response_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            FitnessEngine(dataset, 0, response="cube")
 
     def test_stats_accumulate(self, dataset):
         engine = FitnessEngine(dataset, 0)

@@ -12,6 +12,7 @@ from repro.core import (
     fit_ols,
     median_error,
     pearson_correlation,
+    prune_design,
     r_squared,
     solve_gram,
     spearman_correlation,
@@ -135,20 +136,34 @@ class TestGramPath:
         assert fit.intercept == pytest.approx(sub.intercept, abs=1e-9)
         assert np.allclose(fit.coefficients, sub.coefficients, atol=1e-9)
 
-    def test_rank_deficient_declined(self):
-        """Duplicated columns make the Gram matrix singular; solve_gram
-        signals the caller to take the lstsq fallback instead of solving."""
+    def test_rank_deficient_gets_min_norm(self):
+        """Duplicated columns make the Gram matrix singular: Cholesky fails
+        and solve_gram returns the minimum-norm solution, the same one
+        lstsq finds on the rows."""
         column = np.arange(12.0)
         design = np.column_stack([column, column])
         gram, moment = accumulate_gram(design, column)
-        assert solve_gram(gram, moment) is None
+        fit = solve_gram(gram, moment)
+        assert fit is not None and fit.min_norm
+        expected, *_ = np.linalg.lstsq(
+            np.column_stack([np.ones(12), design]), column, rcond=None
+        )
+        assert np.allclose(np.r_[fit.intercept, fit.coefficients], expected)
 
-    def test_ill_conditioned_declined(self):
+    def test_ill_conditioned_solved_by_cholesky(self):
+        """No condition cutoff: a Gram with cond > 1e10 that Cholesky
+        factors is solved on the fast path, and its predictions on the
+        rows agree with lstsq to the accuracy cond(G) allows."""
         rng = np.random.default_rng(3)
         base = rng.normal(size=30)
-        design = np.column_stack([base, base + 1e-9 * rng.normal(size=30)])
-        gram, moment = accumulate_gram(design, base)
-        assert solve_gram(gram, moment, condition_limit=1e10) is None
+        design = np.column_stack([base, base + 1e-5 * rng.normal(size=30)])
+        targets = 1.0 + base + rng.normal(0, 0.1, 30)
+        gram, moment = accumulate_gram(design, targets)
+        assert np.linalg.cond(gram) > 1e10
+        fit = solve_gram(gram, moment)
+        assert fit is not None and not fit.min_norm
+        ref = fit_ols(design, targets)
+        assert np.allclose(fit.predict(design), ref.predict(design), atol=1e-6)
 
     def test_non_finite_declined(self):
         gram = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -187,6 +202,35 @@ class TestGramPath:
         assert fit is not None  # gaussian designs of this shape are well-conditioned
         assert fit.intercept == pytest.approx(ref.intercept, abs=1e-7)
         assert np.allclose(fit.coefficients, ref.coefficients, atol=1e-7)
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 5),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_pruned_aliased_design_matches_lstsq(self, seed, p, weighted):
+        """Designs with a duplicated column and the cubic-plus-knot basis
+        of a 4-level variable (which spans the intercept): after
+        prune_design, the Gram system factors by Cholesky and its
+        predictions equal lstsq's on the unpruned rows."""
+        rng = np.random.default_rng(seed)
+        n = 30 + 6 * p
+        base = rng.normal(size=(n, p))
+        levels = np.array([0.5, 1.0, 2.0, 4.0])[rng.integers(0, 4, size=n)]
+        z = (levels - levels.mean()) / levels.std()
+        knot = np.maximum(z - np.median(z), 0.0) ** 3
+        design = np.column_stack([base, base[:, 0], z, z**2, z**3, knot])
+        design = design[:, rng.permutation(design.shape[1])]
+        targets = 0.5 + design @ rng.normal(size=design.shape[1])
+        targets = targets + rng.normal(0, 0.1, n)
+        weights = rng.uniform(0.5, 2.0, size=n) if weighted else None
+        names = [f"c{j}" for j in range(design.shape[1])]
+        pruned, kept_names, _ = prune_design(design, names)
+        fit = solve_gram(*accumulate_gram(pruned, targets, weights), kept_names)
+        assert fit is not None and not fit.min_norm
+        ref = fit_ols(design, targets, weights=weights)
+        assert np.allclose(fit.predict(pruned), ref.predict(design), atol=1e-8)
 
 
 class TestRSquared:

@@ -128,7 +128,7 @@ class TestGramEquivalence:
         acc.moment = aug.T @ y
         acc.rows = len(x)
         fit = acc.solve()
-        assert fit is not None
+        assert fit is not None and fit.min_norm  # solve_gram's branch
         expected, *_ = np.linalg.lstsq(aug, y, rcond=None)
         np.testing.assert_allclose(
             np.r_[fit.intercept, fit.coefficients], expected, atol=1e-8
@@ -139,6 +139,18 @@ class TestGramEquivalence:
         acc = GramAccumulator(stub)  # zero rows: nothing to solve
         assert acc.solve() is None
         assert acc.refresh() is None
+
+    def test_fewer_rows_than_columns_returns_none(self):
+        """Two rows, three unknowns: solve_gram would return a min-norm
+        fit, but the accumulator waits for evidence instead."""
+        x = np.array([1.0, 2.0])
+        aug = np.column_stack([np.ones_like(x), x, x**2])
+        stub = SimpleNamespace(fit_column_names=("a", "b"))
+        acc = GramAccumulator(stub)
+        acc.gram = aug.T @ aug
+        acc.moment = aug.T @ np.array([3.0, 5.0])
+        acc.rows = len(x)
+        assert acc.solve() is None
 
 
 # -- drift hysteresis ------------------------------------------------------------------
