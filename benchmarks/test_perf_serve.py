@@ -88,7 +88,6 @@ def service(tmp_path_factory):
         generations=2,
         update_generations=1,
         population_size=8,
-        min_update_profiles=10,
         batch_config=BatchConfig(max_batch=64, max_latency_s=0.002),
     )
     with ServerThread(server) as thread:
@@ -238,7 +237,6 @@ def fleet(tmp_path_factory):
         generations=2,
         update_generations=1,
         population_size=8,
-        min_update_profiles=10,
         batch_config=BatchConfig(max_batch=64, max_latency_s=0.002),
     )
     with supervisor:

@@ -52,7 +52,9 @@ RESULTS: dict = {}
 
 #: A calm detector: this benchmark times the maintenance actions
 #: themselves, so ingest must not veer off into re-specifications.
-CALM = DriftConfig(window=64, min_fill=16, trip_ratio=50.0, clear_ratio=1.1)
+CALM = DriftConfig(
+    window=64, min_fill=16, trip_ratio=50.0, clear_ratio=1.1, patience=3
+)
 
 
 @pytest.fixture(scope="module", autouse=True)

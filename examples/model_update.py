@@ -1,21 +1,31 @@
 #!/usr/bin/env python
 """System dynamics: automatic model updates as new software arrives.
 
-The paper's §3.2-§3.3 inductive flow, live:
+The paper's §3.2-§3.3 inductive flow, live, on the respecifier every
+served model runs, with its default ``DriftConfig()`` (the §3.3 policy):
 
 * a steady-state system has profiled a benchmark suite and trained model M;
 * a *familiar* newcomer (a fresh job running known software) arrives:
-  its predictions are already accurate, so it is absorbed silently;
+  its predictions are already accurate, so it is absorbed by a cheap
+  coefficient refresh;
 * a *novel* newcomer (FP-heavy bwaves, deliberately excluded from the
-  boot-strap suite) arrives: predictions miss, the manager waits for the
-  10-20 extra profiles the paper prescribes, then re-specifies and refits;
+  boot-strap suite) arrives: predictions miss.  The drift window pools
+  every application's recent profiles, and once it holds the 10 profiles
+  the paper prescribes, a median error above 1.5x the steady-state error
+  re-specifies and refits the model;
 * after the update, the newcomer's predictions are re-checked.
+
+Exits non-zero unless the familiar job schedules no re-specification and
+bwaves schedules exactly one.
 """
+
+import sys
 
 import numpy as np
 
-from repro.core import GeneticSearch, ModelManager, ProfileDataset, ProfileRecord
+from repro.core import GeneticSearch, ProfileDataset, ProfileRecord
 from repro.profiling import SOFTWARE_VARIABLE_NAMES, profile_application
+from repro.stream import StreamingRespecifier
 from repro.uarch import HARDWARE_VARIABLE_NAMES, Simulator, sample_configs
 from repro.workloads import application_spec, generate_trace
 
@@ -39,7 +49,19 @@ def profile_records(app_name, spec, simulator, configs, rng, seed=11):
     return records
 
 
-def main() -> None:
+def observe(respec, records):
+    """Ingest one batch of profiles and report what the policy did."""
+    batch = ProfileDataset(respec.dataset.x_names, respec.dataset.y_names, records)
+    pooled = min(respec.detector.fill + len(batch), respec.drift_config.window)
+    outcome = respec.ingest(batch)
+    print(
+        f"   median error {outcome.batch_error:.1%}, drift score "
+        f"{outcome.drift_score:.2f} over {pooled} pooled profiles "
+        f"-> {outcome.action}"
+    )
+
+
+def main() -> int:
     rng = np.random.default_rng(8)
     simulator = Simulator()
 
@@ -51,58 +73,41 @@ def main() -> None:
         )
         dataset.extend(records)
 
-    manager = ModelManager(
-        dataset,
-        search=GeneticSearch(population_size=16, seed=3),
-        generations=4,
-        update_generations=2,
-        min_update_profiles=12,
-        # "The desired accuracy depends on how predictions are used. For
-        # example, median errors less than 10-15% may be sufficient to make
-        # coarse-grained resource allocations." (§3.2)
-        error_tolerance=2.5,
-    )
-    manager.train()
-    print(f"   steady-state mean error: {manager.steady_state_error:.1%}")
+    respec = StreamingRespecifier(dataset, GeneticSearch(population_size=16, seed=3))
+    respec.bootstrap(generations=4)
+    print(f"   steady-state mean error: {respec.detector.baseline:.1%}")
 
     # Paper, footnote 3: "a new application could arise from new jobs,
     # input data, or code optimizations."  The mildest case is a new *job*:
     # a fresh dynamic instance of known software.
     print("2. familiar perturbation: a new sjeng job (same code, new run)")
-    outcome = manager.observe(
+    observe(
+        respec,
         profile_records("sjeng-job2", application_spec("sjeng"), simulator,
-                        sample_configs(6, rng), rng, seed=21)
+                        sample_configs(6, rng), rng, seed=21),
     )
-    print(
-        f"   median error {outcome.median_error:.1%} vs steady-state "
-        f"{outcome.steady_state_error:.1%} -> accurate={outcome.accurate}, "
-        f"update={outcome.update_triggered}"
-    )
+    familiar_respecs = respec.respecs
 
     print("3. novel perturbation: bwaves (the paper's outlier) arrives")
     bwaves = application_spec("bwaves")
-    first = manager.observe(
-        profile_records("bwaves", bwaves, simulator, sample_configs(6, rng), rng, seed=22)
+    print("   first 6 profiles:")
+    observe(
+        respec,
+        profile_records("bwaves", bwaves, simulator, sample_configs(6, rng), rng, seed=22),
     )
-    print(
-        f"   first 6 profiles: median error {first.median_error:.1%} "
-        f"-> accurate={first.accurate}, update={first.update_triggered} "
-        f"(pending={manager.pending_profiles('bwaves')})"
+    print("   8 more profiles (the re-specification cleared the window):")
+    observe(
+        respec,
+        profile_records("bwaves", bwaves, simulator, sample_configs(8, rng), rng, seed=23),
     )
-    second = manager.observe(
-        profile_records("bwaves", bwaves, simulator, sample_configs(8, rng), rng, seed=23)
-    )
-    print(
-        f"   8 more profiles: update_triggered={second.update_triggered} "
-        f"(threshold: {manager.min_update_profiles})"
-    )
+    novel_respecs = respec.respecs - familiar_respecs
 
     print("4. post-update check on fresh bwaves pairs")
     probe_records = profile_records(
         "bwaves", bwaves, simulator, sample_configs(10, rng), rng, seed=24
     )
     probe = ProfileDataset(dataset.x_names, dataset.y_names, probe_records)
-    score = manager.model.score(probe)
+    score = respec.model.score(probe)
     print(
         f"   median error {score['median_error']:.1%}, "
         f"correlation {score['correlation']:.3f}"
@@ -112,6 +117,16 @@ def main() -> None:
         "update pulled it into a usable range)"
     )
 
+    if familiar_respecs != 0 or novel_respecs != 1:
+        print(
+            f"FAILED check: sjeng scheduled {familiar_respecs} re-specifications "
+            f"(want 0), bwaves {novel_respecs} (want 1)",
+            file=sys.stderr,
+        )
+        return 1
+    print("OK: the familiar job was absorbed, bwaves re-specified once")
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,10 +6,13 @@ Public API:
 * specifications: :class:`ModelSpec`, :class:`TransformKind`
 * fitting: :class:`InferredModel`, :func:`fit_ols`
 * automated search: :class:`GeneticSearch`, :class:`Chromosome`
-* system dynamics: :class:`ModelManager`
 * baselines: :func:`stepwise_search`, :func:`manual_general_spec`
 * metrics: :func:`median_error`, :func:`pearson_correlation`,
   :class:`BoxplotStats`
+
+System dynamics (§3.2-§3.3: absorb new software, re-specify when it is
+poorly served) live in :class:`repro.stream.StreamingRespecifier`, whose
+default :class:`repro.stream.DriftConfig` is the paper's update policy.
 """
 
 from repro.core.dataset import ProfileDataset, ProfileRecord
@@ -58,7 +61,6 @@ from repro.core.transfer import (
     transfer_search,
     warm_start_population,
 )
-from repro.core.updater import ModelManager, ObservationOutcome
 from repro.core.stepwise import stepwise_search
 from repro.core.manual import manual_general_spec
 from repro.core.significance import (
@@ -125,8 +127,6 @@ __all__ = [
     "shared_representation_score",
     "transfer_search",
     "warm_start_population",
-    "ModelManager",
-    "ObservationOutcome",
     "stepwise_search",
     "manual_general_spec",
     "SignificanceReport",

@@ -19,7 +19,7 @@ from repro.serve.batching import BatchConfig, ModelSlot
 from repro.serve.manager import ServingManager
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.server import PredictionServer
-from repro.stream import DriftConfig, StreamingRespecifier
+from repro.stream import StreamingRespecifier
 
 #: Variable layout of the demo service (three software characteristics,
 #: two hardware parameters — the same shape the engine benchmark uses).
@@ -81,7 +81,6 @@ def build_service(
     population_size: int = 10,
     seed: int = 0,
     batch_config: Optional[BatchConfig] = None,
-    min_update_profiles: int = 10,
     request_deadline_s: float = 30.0,
     backend: str = "cpu",
 ) -> Tuple[PredictionServer, ServingManager, ModelRegistry]:
@@ -90,10 +89,11 @@ def build_service(
     The caller still runs the asyncio lifecycle (``await server.start()``
     / ``serve_forever``); everything up to that — genetic bootstrap
     (§3.2) into the maintaining respecifier, registry publish, slot load,
-    manager wiring — happens here.  The respecifier's drift gate is the
-    §3.3 update policy: at least ``min_update_profiles`` fresh profiles
-    whose median error exceeds 1.5x the bootstrap (steady-state) error
-    trip one re-specification of ``update_generations`` generations.
+    manager wiring — happens here.  The respecifier runs the default
+    :class:`~repro.stream.DriftConfig`, the paper's §3.3 update policy:
+    once at least 10 fresh profiles are in its window, a windowed median
+    error above 1.5x the bootstrap (steady-state) error trips one
+    re-specification of ``update_generations`` generations.
     ``backend`` names the timing backend the profiles came from; it must
     be registered in :mod:`repro.uarch.backends` and flows into registry
     metadata, stats payloads, and prometheus labels.
@@ -102,15 +102,7 @@ def build_service(
 
     get_backend(backend)  # reject unknown names before anything is built
     respec = StreamingRespecifier(
-        dataset,
-        GeneticSearch(population_size=population_size, seed=seed),
-        drift_config=DriftConfig(
-            window=2 * min_update_profiles,
-            min_fill=min_update_profiles,
-            trip_ratio=1.5,
-            clear_ratio=1.5,
-            patience=1,
-        ),
+        dataset, GeneticSearch(population_size=population_size, seed=seed)
     )
     respec.bootstrap(generations)
 

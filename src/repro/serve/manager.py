@@ -6,9 +6,10 @@ prediction path never touches it — predictions read the
 re-specification in flight can never block or fail a prediction.
 
 One :class:`repro.stream.StreamingRespecifier` maintains the model.  By
-default (:func:`repro.serve.bootstrap.build_service`) its drift gate is the
-paper's §3.3 update policy: accrue ``min_update_profiles`` profiles, then
-re-specify once their error exceeds 1.5x the steady-state error.
+default (:func:`repro.serve.bootstrap.build_service`) its drift gate is
+``DriftConfig()``, the paper's §3.3 update policy: once 10 fresh profiles
+are in its window, re-specify as soon as their median error exceeds 1.5x
+the steady-state error.
 
 1. ``observe`` frames (``observe_stream`` is the same op) deliver profiles
    of a (possibly new) application.  Ingestion — prequential drift scoring
@@ -132,8 +133,7 @@ class ServingManager:
         refresh puts a disk fsync on the hot ingest path and grows the
         registry without bound.  With ``publish_every=N`` only every Nth
         refresh is published (re-specifications always publish
-        immediately); deployments ingesting at rate should set N > 1 here
-        or ``refresh_every`` > 1 on the respecifier.
+        immediately); deployments ingesting at rate should set N > 1.
         """
         if respecifier.model is None:
             raise RuntimeError("bootstrap() the respecifier before attaching")

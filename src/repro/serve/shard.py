@@ -752,7 +752,6 @@ def build_sharded_service(
     population_size: int = 10,
     seed: int = 0,
     batch_config: Optional[BatchConfig] = None,
-    min_update_profiles: int = 10,
     request_deadline_s: float = 30.0,
     max_respawns: int = 16,
     backend: str = "cpu",
@@ -776,7 +775,6 @@ def build_sharded_service(
         population_size=population_size,
         seed=seed,
         batch_config=batch_config,
-        min_update_profiles=min_update_profiles,
         request_deadline_s=request_deadline_s,
         backend=backend,
     )

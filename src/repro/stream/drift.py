@@ -12,7 +12,7 @@ Hysteresis keeps noise from thrashing the GA:
 
 * the window must hold at least ``min_fill`` errors before any verdict;
 * the ratio must exceed ``trip_ratio`` on ``patience`` *consecutive*
-  checks — one bad batch never trips;
+  checks — with ``patience`` > 1, one bad batch never trips;
 * after a trip the detector latches until :meth:`DriftDetector.reset`
   (the re-specification) re-arms it, and re-arming additionally requires
   the score to fall back under ``clear_ratio`` so a still-degraded model
@@ -34,17 +34,19 @@ from repro import obs
 class DriftConfig:
     """Tuning knobs for :class:`DriftDetector`.
 
-    ``trip_ratio`` is in units of the baseline error: 1.5 means "trip when
-    the windowed median error reaches 1.5x the error measured at the last
-    re-specification" — the same tolerance the batch
-    :class:`repro.core.updater.ModelManager` uses for its update trigger.
+    The defaults are the paper's §3.3 update policy, the gate every built
+    service runs: no verdict before 10 fresh profiles ("10-20 additional
+    data points are sufficient"), a window of twice that, and a
+    re-specification as soon as the windowed median error exceeds 1.5x the
+    error measured at the last (re-)specification.  ``trip_ratio`` is in
+    units of that baseline error.
     """
 
-    window: int = 64          # sliding window length, in records
-    min_fill: int = 16        # verdicts need at least this many errors
+    window: int = 20          # sliding window length, in records
+    min_fill: int = 10        # verdicts need at least this many errors
     trip_ratio: float = 1.5   # windowed error / baseline that signals drift
-    clear_ratio: float = 1.1  # must fall below this to re-arm after reset
-    patience: int = 3         # consecutive over-threshold checks to trip
+    clear_ratio: float = 1.5  # must fall below this to re-arm after reset
+    patience: int = 1         # consecutive over-threshold checks to trip
 
     def __post_init__(self):
         if self.window < 1 or not 1 <= self.min_fill <= self.window:

@@ -18,7 +18,7 @@ together.  Each ingested batch flows through four stages:
 3. **coefficient refresh** — a p×p ``solve_gram`` rebinds the incumbent
    specification's coefficients to all evidence so far.  Orders of
    magnitude cheaper than a GA pass (``BENCH_stream.json``), so it runs
-   on (almost) every batch;
+   on every batch that does not trip the detector;
 4. **re-specification** — only when drift trips: the GA resumes
    *warm-started from the incumbent population*
    (:meth:`repro.core.genetic.GeneticSearch.update`), the winning spec is
@@ -81,9 +81,8 @@ class StreamingRespecifier:
         The genetic search whose retained population warm-starts
         re-specification.
     drift_config:
-        Hysteresis policy for the drift gate.
-    refresh_every:
-        Refresh coefficients every N ingested batches (1 = every batch).
+        Hysteresis policy for the drift gate; the default is the paper's
+        §3.3 update policy.
     checkpoint_every:
         Checkpoint the accumulator every N batches (0 disables).
     store:
@@ -98,24 +97,18 @@ class StreamingRespecifier:
         dataset: ProfileDataset,
         search: Optional[GeneticSearch] = None,
         drift_config: DriftConfig = DriftConfig(),
-        refresh_every: int = 1,
         checkpoint_every: int = 0,
         store: Optional[store_mod.Store] = None,
         name: str = "default",
-        committee_size: int = 5,
     ):
-        if refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         self.dataset = dataset
         self.search = search or GeneticSearch()
         self.drift_config = drift_config
-        self.refresh_every = refresh_every
         self.checkpoint_every = checkpoint_every
         self.store = store
         self.name = name
-        self.committee_size = committee_size
 
         self.model: Optional[InferredModel] = None
         self.reference: Optional[InferredModel] = None  # last respec'd snapshot
@@ -200,9 +193,7 @@ class StreamingRespecifier:
             rows, self._committee_rows = self._committee_rows, None
             try:
                 self._sampler = ActiveSampler.from_search(
-                    self.last_result,
-                    self.dataset.subset(range(rows)),
-                    self.committee_size,
+                    self.last_result, self.dataset.subset(range(rows))
                 )
             except ValueError:
                 self._sampler = None  # sampling falls back
@@ -216,9 +207,11 @@ class StreamingRespecifier:
     def set_baseline(self, baseline: float) -> None:
         """Override the drift baseline (e.g. from a fresh stationary batch).
 
-        GA fitness is leave-one-app-out error — pessimistic relative to
-        the deployed full-data fit.  Calibrating the baseline against an
-        actual prequential batch keeps the trip ratio in honest units.
+        GA fitness is a mean of per-application medians over each
+        application's validation rows, not the windowed median the
+        detector computes; calibrating against an actual prequential batch
+        puts both in the same units.  It does not narrow the sampling
+        spread of a short window's median (DESIGN.md §11.2).
         Once calibrated, every re-specification re-derives the baseline
         from its first post-respec batch (same units, new model).
         """
@@ -265,11 +258,8 @@ class StreamingRespecifier:
             return StreamOutcome("respec", len(batch), score, True, False, batch_error)
         if tripped:
             return StreamOutcome("none", len(batch), score, True, True, batch_error)
-        if self.batches_ingested % self.refresh_every == 0:
-            refreshed = self.refresh()
-            action = "refresh" if refreshed else "none"
-            return StreamOutcome(action, len(batch), score, False, False, batch_error)
-        return StreamOutcome("none", len(batch), score, False, False, batch_error)
+        action = "refresh" if self.refresh() else "none"
+        return StreamOutcome(action, len(batch), score, False, False, batch_error)
 
     def _prequential_errors(self, batch: ProfileDataset) -> np.ndarray:
         """Test-then-train: score the batch before learning from it.

@@ -30,6 +30,9 @@ from repro.core.model import InferredModel
 #: Guard against division by ~zero mean predictions.
 _EPS = 1e-12
 
+#: Committee members: the top distinct chromosomes of the last population.
+COMMITTEE_SIZE = 5
+
 
 class ActiveSampler:
     """Scores candidate configuration rows by committee disagreement."""
@@ -40,15 +43,10 @@ class ActiveSampler:
         self.committee = list(committee)
 
     @classmethod
-    def from_search(
-        cls,
-        result,
-        dataset: ProfileDataset,
-        committee_size: int = 5,
-    ) -> "ActiveSampler":
+    def from_search(cls, result, dataset: ProfileDataset) -> "ActiveSampler":
         """Build the committee from a GA :class:`SearchResult`.
 
-        Takes the top ``committee_size`` *distinct* chromosomes of the
+        Takes the top :data:`COMMITTEE_SIZE` *distinct* chromosomes of the
         final ranked population and fits each on the full dataset.
         Degenerate specs that fail to fit are skipped; the population
         always yields >= 2 fits in practice (the GA keeps elites sane).
@@ -64,7 +62,7 @@ class ActiveSampler:
                 models.append(InferredModel.fit(spec, dataset))
             except (ValueError, np.linalg.LinAlgError):
                 continue
-            if len(models) == committee_size:
+            if len(models) == COMMITTEE_SIZE:
                 break
         return cls(models)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the genetic search, fitness loop, baselines, and updater."""
+"""Unit tests for the genetic search, fitness loop and baselines."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from repro.core import (
     Chromosome,
     GeneticSearch,
     InferredModel,
-    ModelManager,
     ModelSpec,
     ProfileDataset,
-    ProfileRecord,
     TransformKind,
     evaluate_spec,
     manual_general_spec,
@@ -183,98 +181,6 @@ class TestManualSpec:
 
     def test_window_splined(self):
         assert manual_general_spec().transforms["y2"] == TransformKind.SPLINE
-
-
-class TestModelManager:
-    def _manager(self, **kwargs):
-        ds = make_synthetic_dataset(apps=("alpha", "beta", "gamma"), seed=2)
-        params = dict(
-            search=tiny_search(),
-            generations=2,
-            update_generations=1,
-            min_update_profiles=4,
-        )
-        params.update(kwargs)
-        return ModelManager(ds, **params)
-
-    def _records(self, app, n, shift=0.0, seed=9):
-        rng = np.random.default_rng(seed)
-        records = []
-        for _ in range(n):
-            x = rng.normal(loc=shift, scale=1.0, size=2)
-            y = rng.uniform(0.5, 2.0, size=2)
-            z = 2.0 + 0.5 * x[0] - 0.3 * x[1] + 0.8 * y[0] + 0.4 * x[0] * y[0]
-            records.append(
-                ProfileRecord(app, x, y, float(np.exp(z / 4.0)))
-            )
-        return records
-
-    def test_requires_training_before_observe(self):
-        manager = self._manager()
-        with pytest.raises(RuntimeError):
-            manager.observe(self._records("new", 2))
-
-    def test_train_produces_model(self):
-        manager = self._manager()
-        model = manager.train()
-        assert model is manager.model
-        assert manager.steady_state_error < 1.0
-
-    def test_similar_application_absorbed_without_update(self):
-        manager = self._manager()
-        manager.train()
-        outcome = manager.observe(self._records("familiar", 3, shift=1.0))
-        assert outcome.accurate
-        assert not outcome.update_triggered
-        assert "familiar" in manager.dataset.applications
-
-    def test_empty_observation_rejected(self):
-        manager = self._manager()
-        manager.train()
-        with pytest.raises(ValueError):
-            manager.observe([])
-
-    def test_mixed_applications_rejected(self):
-        manager = self._manager()
-        manager.train()
-        records = self._records("a", 1) + self._records("b", 1)
-        with pytest.raises(ValueError):
-            manager.observe(records)
-
-    def test_malformed_profile_does_not_poison_the_application(self):
-        """A record of the wrong width is rejected before it is queued, so
-        later valid observations of the same application still work."""
-        manager = self._manager()
-        manager.train()
-        malformed = ProfileRecord("newcomer", np.ones(1), np.ones(2), 1.0)
-        with pytest.raises(ValueError):
-            manager.observe([malformed])
-        assert manager.pending_profiles("newcomer") == 0
-        outcome = manager.observe(self._records("newcomer", 3, shift=1.0))
-        assert outcome.n_profiles == 3
-
-    def test_outlier_waits_for_more_profiles(self):
-        """An inaccurate newcomer does not trigger an update until enough
-        profiles accrue (§3.3's 10-20 points; hysteresis)."""
-        manager = self._manager(min_update_profiles=6, error_tolerance=0.0)
-        manager.train()
-        outcome = manager.observe(self._records("weird", 2, shift=30.0))
-        assert not outcome.accurate
-        assert not outcome.update_triggered
-        assert manager.pending_profiles("weird") == 2
-
-    def test_update_triggered_after_enough_profiles(self):
-        manager = self._manager(min_update_profiles=4, error_tolerance=0.0)
-        manager.train()
-        manager.observe(self._records("weird", 2, shift=30.0))
-        outcome = manager.observe(self._records("weird", 3, shift=30.0, seed=10))
-        assert outcome.update_triggered
-        assert "weird" in manager.dataset.applications
-        assert manager.pending_profiles("weird") == 0
-
-    def test_empty_bootstrap_rejected(self):
-        with pytest.raises(ValueError):
-            ModelManager(ProfileDataset(("x1",), ("y1",)))
 
 
 class TestParallelEvaluation:

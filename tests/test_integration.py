@@ -12,7 +12,6 @@ import pytest
 from repro.core import (
     GeneticSearch,
     InferredModel,
-    ModelManager,
     ProfileDataset,
     ProfileRecord,
     manual_general_spec,
@@ -20,6 +19,7 @@ from repro.core import (
     pearson_correlation,
 )
 from repro.profiling import SOFTWARE_VARIABLE_NAMES, profile_application
+from repro.stream import StreamingRespecifier
 from repro.uarch import HARDWARE_VARIABLE_NAMES, Simulator, sample_configs
 from repro.workloads import (
     application_spec,
@@ -84,18 +84,16 @@ class TestEndToEnd:
 
     def test_update_flow_absorbs_variant(self, pipeline):
         """§3.2's inductive step, end to end: a compiler variant of a known
-        application arrives, the manager absorbs/updates, and predictions
-        for the variant are usable."""
+        application arrives, the respecifier absorbs it under the §3.3
+        policy, and predictions for the variant are usable."""
         rng = np.random.default_rng(9)
         sim = pipeline["sim"]
-        manager = ModelManager(
-            pipeline["train"],
-            search=GeneticSearch(population_size=8, seed=2),
-            generations=2,
-            update_generations=1,
-            min_update_profiles=5,
+        train = pipeline["train"]
+        respec = StreamingRespecifier(
+            ProfileDataset(train.x_names, train.y_names, train.records),
+            GeneticSearch(population_size=8, seed=2),
         )
-        manager.train()
+        respec.bootstrap(generations=2)
 
         variant = optimization_variant(application_spec("bzip2"), "-O1")
         trace = generate_trace(variant, 3 * SHARD, seed=31, shard_length=SHARD)
@@ -112,9 +110,9 @@ class TestEndToEnd:
                     sim.cpi(shards[i], config),
                 )
             )
-        outcome = manager.observe(records)
-        assert outcome.application == "bzip2-O1"
-        assert variant.name in manager.dataset.applications
+        outcome = respec.ingest(ProfileDataset(train.x_names, train.y_names, records))
+        assert outcome.action == "refresh"
+        assert variant.name in respec.dataset.applications
 
         # Post-update predictions for held-out variant pairs are sane.
         holdout = []
@@ -128,10 +126,8 @@ class TestEndToEnd:
                     sim.cpi(shards[i], config),
                 )
             )
-        probe = ProfileDataset(
-            manager.dataset.x_names, manager.dataset.y_names, holdout
-        )
-        error = median_error(manager.model.predict(probe), probe.targets())
+        probe = ProfileDataset(train.x_names, train.y_names, holdout)
+        error = median_error(respec.model.predict(probe), probe.targets())
         assert error < 0.5
 
     def test_new_application_extrapolation_with_update(self, pipeline):

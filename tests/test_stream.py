@@ -386,6 +386,70 @@ class TestStreamingRespecifier:
         assert records[1].z == 0.7
 
 
+def _policy_records(app, n, shift=0.0, seed=9):
+    """Noise-free records of the synthetic structure; ``shift`` moves x."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(n):
+        x = rng.normal(loc=shift, scale=1.0, size=2)
+        y = rng.uniform(0.5, 2.0, size=2)
+        z = 2.0 + 0.5 * x[0] - 0.3 * x[1] + 0.8 * y[0] + 0.4 * x[0] * y[0]
+        records.append(ProfileRecord(app, x, y, float(np.exp(z / 4.0))))
+    return records
+
+
+class TestUpdatePolicy:
+    """The paper's §3.2-§3.3 inductive flow under the default
+    ``DriftConfig()``: familiar software is absorbed by a refresh, a
+    poorly served newcomer waits for 10 profiles, then re-specifies."""
+
+    @pytest.fixture()
+    def respec(self):
+        ds = make_synthetic_dataset(apps=("alpha", "beta", "gamma"), seed=2)
+        respec = StreamingRespecifier(ds, GeneticSearch(population_size=8, seed=0))
+        respec.bootstrap(generations=2)
+        return respec
+
+    @staticmethod
+    def _ingest(respec, records):
+        ds = respec.dataset
+        return respec.ingest(ProfileDataset(ds.x_names, ds.y_names, records))
+
+    def test_bootstrap_adopts_the_ga_winner(self, respec):
+        assert respec.drift_config == DriftConfig(
+            window=20, min_fill=10, trip_ratio=1.5, clear_ratio=1.5, patience=1
+        )
+        assert respec.model is respec.reference
+        assert respec.detector.baseline == respec.last_result.best_fitness.mean_error
+        assert respec.detector.baseline < 1.0
+
+    def test_familiar_application_refreshes_without_respec(self, respec):
+        outcome = self._ingest(respec, _policy_records("familiar", 10, shift=1.0))
+        assert outcome.action == "refresh" and not outcome.tripped
+        assert outcome.drift_score < respec.drift_config.trip_ratio
+        assert "familiar" in respec.dataset.applications
+        assert respec.respecs == 0
+
+    def test_outlier_waits_for_min_fill(self, respec):
+        outcome = self._ingest(respec, _policy_records("weird", 9, shift=30.0))
+        # Far outside the tolerance band, one profile short of a verdict.
+        assert outcome.batch_error > 1.5 * respec.detector.baseline
+        assert outcome.action == "refresh" and not outcome.tripped
+        assert respec.detector.fill == 9 and respec.respecs == 0
+
+    def test_outlier_trips_one_respec_at_min_fill(self, respec):
+        first = self._ingest(respec, _policy_records("weird", 4, shift=30.0))
+        assert not first.tripped
+        second = self._ingest(respec, _policy_records("weird", 6, shift=30.0, seed=10))
+        assert second.action == "respec" and respec.respecs == 1
+        assert "weird" in respec.dataset.applications
+
+    def test_empty_bootstrap_rejected(self):
+        respec = StreamingRespecifier(ProfileDataset(("x1",), ("y1",)))
+        with pytest.raises(ValueError):
+            respec.bootstrap(generations=1)
+
+
 # -- checkpoint / recover --------------------------------------------------------------
 
 
