@@ -157,7 +157,10 @@ def serve_main(argv) -> int:
     )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument(
-        "--max-latency-ms", type=float, default=2.0, help="batching tick length"
+        "--max-latency-ms",
+        type=float,
+        default=2.0,
+        help="longest a tick may gather (it closes as soon as no request is ready)",
     )
     parser.add_argument(
         "--shards",

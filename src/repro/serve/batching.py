@@ -1,21 +1,29 @@
 """Micro-batching: coalesce concurrent single-profile predictions.
 
-One prediction is a handful of transform evaluations plus a dot product —
-far cheaper than the per-request overhead of parsing, scheduling, and
-replying.  The :class:`MicroBatcher` amortizes the numpy dispatch cost by
-draining concurrently queued requests into one vectorized
+One prediction is a compiled design program plus a dot product — a fixed
+couple of dozen numpy calls, cheaper than the per-request overhead of
+parsing, scheduling, and replying.  The :class:`MicroBatcher` amortizes that fixed
+cost by draining concurrently queued requests into one vectorized
 ``InferredModel.predict_rows`` call per *tick*:
 
-* a tick opens when the first request arrives and closes after
-  ``max_latency_s`` or as soon as ``max_batch`` requests are queued,
-  whichever comes first;
+* a tick opens when the first request arrives and gathers while the
+  event loop keeps adding requests: it closes as soon as one pass of the
+  loop adds none, or when ``max_batch`` requests are queued, or
+  ``max_latency_s`` after it opened, whichever comes first.  A lone
+  request is predicted at once instead of waiting out a window; requests
+  that arrive while a tick predicts are read after it and form the next
+  tick, so ticks still fill under load;
 * the whole batch is predicted against **one** model snapshot, so every
   response in a tick is served by a single (model, version) pair — the
   invariant the live-update swap protocol relies on;
 * the queue is bounded: submissions beyond ``queue_depth`` fail fast with
   :class:`QueueFullError` (surfaced as HTTP-style 429 by the server) rather
   than building unbounded latency;
-* per-request timeouts cancel the waiter, not the batch.
+* per-request timeouts cancel the waiter, not the batch;
+* two histograms split the server-side latency of a ``predict``:
+  ``serve.queue_wait_seconds`` (submit to the flush of its tick, per
+  request) and ``serve.batch_predict_seconds`` (the one ``predict_rows``
+  call of each tick).
 
 Because ``predict_rows`` ends in a batch-size-invariant reduction (see
 ``LinearFit.predict``), a batched response is bit-identical to the
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import time
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
@@ -59,7 +68,8 @@ class BatchConfig:
     """Tuning knobs of the batching tick."""
 
     max_batch: int = 64          #: flush as soon as this many are queued
-    max_latency_s: float = 0.002  #: ... or this long after the first arrival
+    max_latency_s: float = 0.002  #: ... or this long after the first arrival,
+    #: if the event loop kept adding requests until then
     queue_depth: int = 1024      #: bound on queued-but-unflushed requests
     request_timeout_s: float = 10.0  #: per-request wait budget
 
@@ -141,7 +151,8 @@ class MicroBatcher:
         self.slot = slot
         self.config = config or BatchConfig()
         self.stats = BatchStats()
-        self._queue: Deque[Tuple[np.ndarray, asyncio.Future]] = deque()
+        #: (row, waiter, submit time on the perf_counter clock)
+        self._queue: Deque[Tuple[np.ndarray, asyncio.Future, float]] = deque()
         self._wakeup = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
         self._closed = False
@@ -152,6 +163,12 @@ class MicroBatcher:
         self._obs_ticks = obs.counter("serve.batch_ticks")
         self._obs_rejected = obs.counter("serve.queue_rejected")
         self._obs_timed_out = obs.counter("serve.request_timeouts")
+        self._obs_queue_wait = obs.histogram(
+            "serve.queue_wait_seconds", obs.SECONDS_BUCKETS
+        )
+        self._obs_predict = obs.histogram(
+            "serve.batch_predict_seconds", obs.SECONDS_BUCKETS
+        )
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -165,7 +182,7 @@ class MicroBatcher:
         if self._task is not None:
             await self._task
             self._task = None
-        for _, future in self._queue:
+        for _, future, _ in self._queue:
             if not future.done():
                 future.set_exception(RuntimeError("batcher closed"))
         self._queue.clear()
@@ -187,7 +204,9 @@ class MicroBatcher:
                 f"prediction queue at capacity ({self.config.queue_depth})"
             )
         future = asyncio.get_running_loop().create_future()
-        self._queue.append((np.asarray(row, dtype=float), future))
+        self._queue.append(
+            (np.asarray(row, dtype=float), future, time.perf_counter())
+        )
         self._obs_queue_depth.set(len(self._queue))
         self._wakeup.set()
         try:
@@ -209,19 +228,18 @@ class MicroBatcher:
                 await self._wakeup.wait()
             if self._closed:
                 return
-            # A tick: the first arrival opens a window; keep accumulating
-            # until the window closes or the batch is full.
+            # A tick: the first arrival opens it; keep gathering while a
+            # pass of the event loop adds requests, up to the batch and
+            # latency caps.
             deadline = loop.time() + self.config.max_latency_s
-            while len(self._queue) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                self._wakeup.clear()
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if self._closed:
+            while (
+                len(self._queue) < self.config.max_batch
+                and loop.time() < deadline
+                and not self._closed
+            ):
+                queued = len(self._queue)
+                await asyncio.sleep(0)
+                if len(self._queue) == queued:
                     break
             self._flush()
 
@@ -233,23 +251,27 @@ class MicroBatcher:
         self._obs_queue_depth.set(len(self._queue))
         # Drop requests whose waiter already gave up (timeout/cancel); they
         # must not occupy batch rows.
-        live = [(row, fut) for row, fut in batch if not fut.done()]
+        live = [(row, fut, t) for row, fut, t in batch if not fut.done()]
         if not live:
             return
+        start = time.perf_counter()
+        for _, _, submitted in live:
+            self._obs_queue_wait.observe(start - submitted)
         version, model = self.slot.get()
-        rows = np.vstack([row for row, _ in live])
+        rows = np.vstack([row for row, _, _ in live])
         try:
             predictions = model.predict_rows(rows)
         except Exception as exc:  # surface per-request, keep the loop alive
-            for _, future in live:
+            for _, future, _ in live:
                 if not future.done():
                     future.set_exception(
                         RuntimeError(f"prediction failed: {exc}")
                     )
             return
+        self._obs_predict.observe(time.perf_counter() - start)
         self.stats.record_flush(len(live))
         self._obs_ticks.inc()
         self._obs_occupancy.observe(len(live))
-        for (_, future), prediction in zip(live, predictions):
+        for (_, future, _), prediction in zip(live, predictions):
             if not future.done():
                 future.set_result((float(prediction), version))

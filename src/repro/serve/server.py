@@ -393,7 +393,7 @@ class PredictionServer:
         self._obs_predictions.inc(len(predictions))
         return {
             "ok": True,
-            "predictions": [float(p) for p in predictions],
+            "predictions": predictions.tolist(),
             "model_version": version,
         }
 

@@ -6,12 +6,15 @@ bit-identical to the sequential ``predict_one`` call for the same row.
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import InferredModel, ModelSpec, TransformKind
 from repro.serve import BatchConfig, MicroBatcher, ModelSlot, QueueFullError
 from repro.serve.bootstrap import demo_dataset
@@ -118,6 +121,115 @@ class TestBatchedEquivalence:
             results, [np.ones(N_X + N_Y) * (0.1 + 0.01 * i) for i in range(16)]
         ):
             assert prediction == expected(row)
+
+
+class _SlowModel:
+    """Records each tick's batch size; its first predict holds the event
+    loop until ``arrivals`` rows were submitted from another thread."""
+
+    def __init__(self, arrivals: int, delay: float = 0.02):
+        self.arrivals = arrivals
+        self.delay = delay
+        self.sizes = []
+        self.predicting = threading.Event()
+        self.submitted = threading.Event()
+
+    def predict_rows(self, rows):
+        self.sizes.append(len(rows))
+        if len(self.sizes) == 1:
+            self.predicting.set()
+            assert self.submitted.wait(10)
+        time.sleep(self.delay)
+        return rows.sum(axis=1)
+
+
+def _arrivals_during_first_predict(model: _SlowModel, config: BatchConfig):
+    """One request, then ``model.arrivals`` more while it is predicted."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        batcher = MicroBatcher(ModelSlot(model, version=1), config)
+        batcher.start()
+        rows = [np.full(N_X + N_Y, float(i)) for i in range(model.arrivals + 1)]
+
+        def arrive():
+            model.predicting.wait(10)
+            late = [
+                asyncio.run_coroutine_threadsafe(batcher.submit(row), loop)
+                for row in rows[1:]
+            ]
+            model.submitted.set()
+            return late
+
+        arriving = loop.run_in_executor(None, arrive)
+        first = await batcher.submit(rows[0])
+        late = [asyncio.wrap_future(f) for f in await arriving]
+        results = [first] + list(await asyncio.gather(*late))
+        await batcher.close()
+        return rows, results
+
+    return asyncio.run(scenario())
+
+
+class TestEarlyClose:
+    def test_lone_request_does_not_wait_out_the_cap(self):
+        config = BatchConfig(max_batch=64, max_latency_s=0.5)
+
+        async def scenario():
+            batcher = MicroBatcher(ModelSlot(served_model(), version=1), config)
+            batcher.start()
+            row = np.full(N_X + N_Y, 0.5)
+            start = time.perf_counter()
+            prediction, _ = await batcher.submit(row)
+            elapsed = time.perf_counter() - start
+            await batcher.close()
+            return row, prediction, elapsed
+
+        row, prediction, elapsed = asyncio.run(scenario())
+        assert elapsed < 0.05
+        assert prediction == expected(row)
+
+    def test_requests_arriving_during_a_predict_form_the_next_tick(self):
+        model = _SlowModel(arrivals=5)
+        rows, results = _arrivals_during_first_predict(
+            model, BatchConfig(max_batch=64, max_latency_s=0.5)
+        )
+        assert model.sizes == [1, 5]
+        assert [p for p, _ in results] == [float(row.sum()) for row in rows]
+
+    def test_max_batch_caps_each_tick(self):
+        model = _SlowModel(arrivals=10)
+        rows, results = _arrivals_during_first_predict(
+            model, BatchConfig(max_batch=4, max_latency_s=0.5)
+        )
+        assert model.sizes == [1, 4, 4, 2]
+        assert [p for p, _ in results] == [float(row.sum()) for row in rows]
+
+
+class TestStageLatency:
+    def test_one_predict_populates_both_histograms(self):
+        was_enabled = obs.enabled()
+        obs.configure(enabled=True)
+        names = ("serve.queue_wait_seconds", "serve.batch_predict_seconds")
+
+        def counts():
+            histograms = obs.snapshot()["histograms"]
+            return [histograms.get(name, {}).get("count", 0) for name in names]
+
+        async def scenario():
+            batcher = MicroBatcher(ModelSlot(served_model(), version=1))
+            batcher.start()
+            before = counts()
+            await batcher.submit(np.full(N_X + N_Y, 0.5))
+            after = counts()
+            await batcher.close()
+            return before, after
+
+        try:
+            before, after = asyncio.run(scenario())
+        finally:
+            obs.configure(enabled=was_enabled)
+        assert [b - a for a, b in zip(before, after)] == [1, 1]
 
 
 class TestQueueDiscipline:

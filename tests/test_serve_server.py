@@ -1,14 +1,20 @@
 """End-to-end: real sockets, framing, ops, backpressure, error statuses."""
 
+import json
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.serve import (
+    NO_RETRY,
     BatchConfig,
+    ModelSlot,
+    PredictionServer,
     ServeClient,
     ServeError,
     ServerThread,
-    wait_for_server,
 )
 from repro.serve.bootstrap import build_service, demo_dataset
 
@@ -68,6 +74,33 @@ class TestOps:
         singles = [client.predict_row(r.tolist())["prediction"] for r in rows]
         assert batch == singles
 
+    def test_predict_batch_reply_bytes_unchanged(self, service):
+        # ``tolist()`` yields the same Python floats as a per-element
+        # ``float()``, so the JSON reply is byte-identical.
+        _, server, *_ = service
+        version, model = server.slot.get()
+        rows = np.random.default_rng(4).normal(1, 2.0, size=(300, N_VARS))
+        reply = server._op_predict_batch({"op": "predict_batch", "rows": rows.tolist()})
+        per_element = {
+            "ok": True,
+            "predictions": [float(p) for p in model.predict_rows(rows)],
+            "model_version": version,
+        }
+        def encode(payload):
+            return json.dumps(payload, separators=(",", ":"))
+
+        assert encode(reply) == encode(per_element)
+        awkward = np.array([0.0, -0.0, 5e-324, 1e308, -1.5, 1 / 3, 2.0**-1074, 123456789.0])
+        assert encode(awkward.tolist()) == encode([float(v) for v in awkward])
+
+    def test_metrics_export_stage_latency(self, client):
+        client.predict_row([1.0] * N_VARS)
+        histograms = client.metrics()["histograms"]
+        text = client.metrics_prometheus()
+        for name in ("serve.queue_wait_seconds", "serve.batch_predict_seconds"):
+            assert histograms[name]["count"] >= 1
+            assert f"repro_{name.replace('.', '_')}_count" in text
+
     def test_stats_exposes_batching(self, client):
         client.predict_row([1.0] * N_VARS)
         stats = client.stats()
@@ -104,62 +137,65 @@ class TestErrors:
         assert exc.value.status == 400
 
 
+class _SlowModel:
+    """Holds the event loop for ``delay`` seconds in every predict."""
+
+    variable_names = tuple(f"v{i}" for i in range(N_VARS))
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.predicting = threading.Event()
+
+    def predict_rows(self, rows):
+        self.predicting.set()
+        time.sleep(self.delay)
+        return np.ones(len(rows))
+
+
 class TestBackpressure:
-    def test_queue_full_is_429(self, tmp_path):
-        # A queue of depth 2 with an extremely slow tick: the third
-        # concurrent request must be shed with 429.
-        server, serving, _ = build_service(
-            demo_dataset(seed=0),
-            tmp_path / "registry",
-            generations=1,
-            population_size=6,
+    def test_queue_full_is_429(self):
+        # A tick that predicts slowly: the requests read after it queue for
+        # the next tick, and with room for two the third is shed with 429.
+        model = _SlowModel(delay=0.5)
+        server = PredictionServer(
+            ModelSlot(model, version=1),
             batch_config=BatchConfig(
-                max_batch=1024,
-                max_latency_s=5.0,
-                queue_depth=2,
-                request_timeout_s=30.0,
+                max_batch=1, queue_depth=2, request_timeout_s=30.0
             ),
         )
-        import threading
-
         with ServerThread(server) as thread:
-            fillers = [ServeClient(port=thread.port) for _ in range(2)]
-            started = []
+            clients = [
+                ServeClient(port=thread.port, retry=NO_RETRY) for _ in range(4)
+            ]
+            for c in clients:
+                assert c.ping()  # every connection accepted before the stall
+            replies = []
 
             def fire(c):
-                started.append(1)
                 try:
-                    c.predict_row([1.0] * N_VARS)
+                    replies.append(c.predict_row([1.0] * N_VARS)["ok"])
                 except (ServeError, ConnectionError, OSError):
-                    pass  # shed or cut off at server shutdown — expected
+                    replies.append(False)
 
             threads = [
                 threading.Thread(target=fire, args=(c,), daemon=True)
-                for c in fillers
+                for c in clients[:3]
             ]
-            for t in threads:
+            threads[0].start()
+            assert model.predicting.wait(10)
+            # Arrive in order while the first tick predicts: two fill the
+            # queue, the probe finds it full.
+            for t in threads[1:]:
                 t.start()
-            # Wait until both fillers are queued server-side.
-            probe = wait_for_server("127.0.0.1", thread.port)
-            deadline = 50
-            while deadline and server.batcher.stats.requests == 0:
-                import time
-
-                time.sleep(0.1)
-                deadline -= 1
-                if len(server.batcher._queue) >= 2:
-                    break
+                time.sleep(0.05)
             with pytest.raises(ServeError) as exc:
-                probe.predict_row([1.0] * N_VARS)
+                clients[3].predict_row([1.0] * N_VARS)
             assert exc.value.status == 429
-            probe.close()
-        # Server is down: the filler requests have errored out; reap the
-        # threads before closing their sockets.
-        for t in threads:
-            t.join(10)
-        for c in fillers:
+            for t in threads:
+                t.join(10)
+            assert replies == [True, True, True]
+        for c in clients:
             c.close()
-        serving.close()
 
     def test_shutdown_op_stops_server(self, tmp_path):
         server, serving, _ = build_service(
