@@ -24,8 +24,6 @@ from repro.core.transforms import (
     choose_ladder_power,
     skewness,
     spline_knots,
-    truncated_power_basis,
-    polynomial_basis,
 )
 from repro.core.design import ModelSpec, DesignMatrixBuilder, normalize_interaction
 from repro.core.collinearity import (
@@ -51,7 +49,7 @@ from repro.core.metrics import (
 from repro.core.model import InferredModel
 from repro.core.chromosome import Chromosome, chromosome_from_spec
 from repro.core.fitness import FitnessResult, derive_app_splits, evaluate_spec
-from repro.core.engine import ColumnStore, FitnessEngine
+from repro.core.engine import FitnessEngine
 from repro.core.genetic import GeneticSearch, SearchResult, GenerationRecord
 from repro.core.transfer import (
     TransferOutcome,
@@ -91,8 +89,6 @@ __all__ = [
     "choose_ladder_power",
     "skewness",
     "spline_knots",
-    "truncated_power_basis",
-    "polynomial_basis",
     "ModelSpec",
     "DesignMatrixBuilder",
     "normalize_interaction",
@@ -116,7 +112,6 @@ __all__ = [
     "FitnessResult",
     "derive_app_splits",
     "evaluate_spec",
-    "ColumnStore",
     "FitnessEngine",
     "GeneticSearch",
     "SearchResult",

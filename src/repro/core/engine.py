@@ -7,8 +7,12 @@ a population:
 1. **Transform refits.**  Every per-application fit re-estimates each
    variable's ladder power, standardization, and spline knots, although
    specs in a population share almost all of their ``(variable, kind)``
-   columns.  The :class:`ColumnStore` fits each transform column once per
-   dataset and every spec assembles its design matrix by column selection.
+   columns.  The engine fits one builder per dataset, for the spec "every
+   variable a spline", evaluates its
+   :class:`~repro.core.design.DesignProgram` once, and assembles every
+   spec's design from that basis (:meth:`FitnessEngine.design`): its main
+   effects by column name, its interactions as products of two
+   variables' first spline columns.
 2. **Full least-squares per application.**  The leave-one-application-out
    sweep solves |apps| SVD-backed least-squares problems over nearly
    identical row sets.  :class:`FitnessEngine` accumulates the
@@ -52,7 +56,7 @@ import numpy as np
 from repro import faults, obs
 from repro.core.collinearity import prune_design
 from repro.core.dataset import ProfileDataset
-from repro.core.design import ModelSpec
+from repro.core.design import DesignMatrixBuilder, ModelSpec
 from repro.core.fitness import (
     DEFAULT_TRAINING_WEIGHT,
     FAILED_FITNESS,
@@ -60,157 +64,28 @@ from repro.core.fitness import (
     derive_app_splits,
 )
 from repro.core.metrics import median_error
+from repro.core.model import LOG_PREDICTION_CLIP
 from repro.core.regression import solve_gram
 
 # Unused here; perfbench's tracer (perfbench/tracing.py) patches this name
 # and fails when it is missing.
 from repro.core.regression import fit_ols  # noqa: F401
-from repro.core.transforms import (
-    TransformKind,
-    choose_ladder_power,
-    spline_knots,
-    stabilize,
-)
-
-#: Clamp applied to log-scale linear predictors before exponentiation,
-#: mirroring :meth:`repro.core.model.InferredModel.predict`.
-_LOG_PREDICTION_CLIP = 50.0
-
-
-class ColumnStore:
-    """Per-dataset cache of fitted transform columns.
-
-    Every ``(variable, TransformKind)`` basis block and every
-    interaction's stabilized-linear product is computed at most once; the
-    arithmetic matches :class:`repro.core.design.DesignMatrixBuilder`
-    fitted on the same dataset bit-for-bit (the stabilized view, its
-    powers, and the truncated-power spline columns are the identical numpy
-    expressions).
-    """
-
-    def __init__(self, dataset: ProfileDataset):
-        self._matrix = dataset.matrix()
-        self._names = dataset.variable_names
-        self._index = {name: i for i, name in enumerate(self._names)}
-        self._stabilized: Dict[str, np.ndarray] = {}
-        self._blocks: Dict[Tuple[str, TransformKind], Tuple[np.ndarray, Tuple[str, ...]]] = {}
-        self._products: Dict[Tuple[str, str], np.ndarray] = {}
-        self.hits = 0
-        self.builds = 0
-        # Instrument handles are resolved once per store: no-op singletons
-        # when observability is disabled, so the cache path stays flat.
-        self._obs_hits = obs.counter("engine.column_hits")
-        self._obs_builds = obs.counter("engine.column_builds")
-
-    @property
-    def n_rows(self) -> int:
-        return self._matrix.shape[0]
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.builds
-        return self.hits / total if total else 0.0
-
-    def stabilized(self, name: str) -> np.ndarray:
-        """The variable's stabilized-linear view (power ladder, standardize,
-        clamp) — the column interactions multiply."""
-        cached = self._stabilized.get(name)
-        if cached is not None:
-            return cached
-        if name not in self._index:
-            raise ValueError(f"spec references unknown variable {name!r}")
-        values = self._matrix[:, self._index[name]]
-        z = stabilize(values, choose_ladder_power(values))
-        center = float(z.mean())
-        scale = float(z.std())
-        if scale < 1e-12:
-            scale = 1.0
-        # No clamp: FittedTransform's clip range covers the fit sample by
-        # construction, so it is an exact no-op on the data it was fit on.
-        zs = (z - center) / scale
-        self._stabilized[name] = zs
-        return zs
-
-    def main_effect(
-        self, name: str, kind: TransformKind
-    ) -> Tuple[np.ndarray, Tuple[str, ...]]:
-        """Basis block and column suffixes for one ``(variable, kind)``."""
-        key = (name, kind)
-        cached = self._blocks.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._obs_hits.inc()
-            return cached
-        self.builds += 1
-        self._obs_builds.inc()
-        if kind == TransformKind.EXCLUDED:
-            block: Tuple[np.ndarray, Tuple[str, ...]] = (
-                np.empty((self.n_rows, 0)), ()
-            )
-        else:
-            zs = self.stabilized(name)
-            if kind == TransformKind.SPLINE:
-                knots = np.unique(np.round(spline_knots(zs), 9))
-                columns = [zs, zs**2, zs**3]
-                columns += [np.maximum(zs - knot, 0.0) ** 3 for knot in knots]
-                suffixes = ("", "^2", "^3") + tuple(
-                    f"~k{i + 1}" for i in range(len(knots))
-                )
-            else:
-                degree = int(kind)
-                columns = [zs ** d for d in range(1, degree + 1)]
-                suffixes = ("", "^2", "^3")[:degree]
-            block = (np.column_stack(columns), suffixes)
-        self._blocks[key] = block
-        return block
-
-    def interaction(self, a: str, b: str) -> np.ndarray:
-        """The product term ``a * b`` of the two stabilized-linear views."""
-        key = (a, b) if a < b else (b, a)
-        cached = self._products.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._obs_hits.inc()
-            return cached
-        self.builds += 1
-        self._obs_builds.inc()
-        column = self.stabilized(key[0]) * self.stabilized(key[1])
-        self._products[key] = column
-        return column
-
-    def design(self, spec: ModelSpec) -> Tuple[np.ndarray, List[str]]:
-        """Assemble the spec's design matrix by column selection.
-
-        Column order matches :class:`DesignMatrixBuilder`: main effects in
-        spec order, then interactions sorted by pair.
-        """
-        blocks: List[np.ndarray] = []
-        names: List[str] = []
-        for name, kind in spec.transforms.items():
-            block, suffixes = self.main_effect(name, kind)
-            if block.shape[1]:
-                blocks.append(block)
-                names.extend(f"{name}{suffix}" for suffix in suffixes)
-        for a, b in sorted(spec.interactions):
-            blocks.append(self.interaction(a, b)[:, None])
-            names.append(f"{a}*{b}")
-        if not blocks:
-            return np.empty((self.n_rows, 0)), names
-        return np.column_stack(blocks), names
+from repro.core.transforms import TransformKind
 
 
 class FitnessEngine:
     """Scores model specifications against one dataset with fixed splits.
 
     Construct once per (dataset, search); call :meth:`evaluate` per spec.
-    The constructor builds the column store, derives the per-application
-    splits from ``split_seed``, and precomputes the response vector; each
-    evaluation then costs one design assembly, one collinearity prune, one
-    Gram accumulation, and |apps| block-updated Cholesky solves.
+    The constructor derives the per-application splits from
+    ``split_seed`` and precomputes the response vector; the first
+    evaluation computes the dataset's basis, and each evaluation then
+    costs one column selection, one collinearity prune, one Gram
+    accumulation, and |apps| block-updated Cholesky solves.
     """
 
     def __init__(self, dataset: ProfileDataset, split_seed: int):
         self.dataset = dataset
-        self.store = ColumnStore(dataset)
         self.splits = derive_app_splits(dataset, split_seed)
         self.applications = dataset.applications
         targets = dataset.targets()
@@ -223,9 +98,16 @@ class FitnessEngine:
         # its historical name: perfbench's build signature reads it.
         self.lstsq_fallbacks = 0
         self.failed_fits = 0
+        # One build per column computed (the basis, then each spec's
+        # interaction products), one hit per basis column a spec takes.
+        self.column_builds = 0
+        self.column_hits = 0
+        self._basis = None
         self._obs_specs = obs.counter("engine.specs_evaluated")
         self._obs_gram = obs.counter("engine.gram_fits")
         self._obs_failed = obs.counter("engine.failed_fits")
+        self._obs_hits = obs.counter("engine.column_hits")
+        self._obs_builds = obs.counter("engine.column_builds")
 
     # -- public API ---------------------------------------------------------------
 
@@ -250,16 +132,57 @@ class FitnessEngine:
     def evaluate_many(self, specs: Sequence[ModelSpec]) -> List[FitnessResult]:
         return [self.evaluate(spec) for spec in specs]
 
+    def design(self, spec: ModelSpec) -> Tuple[np.ndarray, List[str]]:
+        """The spec's design matrix on this dataset and its column names.
+
+        Bitwise equal, names and C layout included, to
+        ``DesignMatrixBuilder(spec).fit_transform(dataset)``.  The
+        dataset's basis is the design of the spec "every variable a
+        spline"; a spec takes its main effects from it by name and
+        multiplies its interactions out of the two variables' first
+        columns, their linear views (see
+        :meth:`DesignMatrixBuilder.columns_of`).  A basis of every pair's
+        product too would be three times as wide at 26 variables, and the
+        engine of a re-specification lives in the serving process.
+        """
+        if self._basis is None:
+            builder = DesignMatrixBuilder(ModelSpec(
+                dict.fromkeys(self.dataset.variable_names, TransformKind.SPLINE)
+            ))
+            basis = builder.fit_transform(self.dataset)
+            position = {name: i for i, name in enumerate(builder.column_names)}
+            self._basis = (builder, basis, position)
+            self.column_builds += basis.shape[1]
+            self._obs_builds.inc(basis.shape[1])
+        builder, basis, position = self._basis
+        names = builder.columns_of(spec)
+        pairs = sorted(spec.interactions)
+        split = len(names) - len(pairs)
+        taken, first, second = (
+            np.array([position[name] for name in group], dtype=np.intp)
+            for group in (names[:split], [a for a, _ in pairs], [b for _, b in pairs])
+        )
+        design = np.empty((len(basis), len(names)))
+        design[:, :split] = basis.take(taken, axis=1)
+        np.multiply(basis.take(first, axis=1), basis.take(second, axis=1),
+                    out=design[:, split:])
+        self.column_hits += split
+        self.column_builds += len(pairs)
+        self._obs_hits.inc(split)
+        self._obs_builds.inc(len(pairs))
+        return design, names
+
     def stats(self) -> Dict[str, float]:
         """Counters for benchmarking and observability."""
+        columns = self.column_hits + self.column_builds
         return {
             "specs_evaluated": self.specs_evaluated,
             "gram_fits": self.gram_fits,
             "lstsq_fallbacks": self.lstsq_fallbacks,
             "failed_fits": self.failed_fits,
-            "column_hits": self.store.hits,
-            "column_builds": self.store.builds,
-            "column_hit_rate": self.store.hit_rate(),
+            "column_hits": self.column_hits,
+            "column_builds": self.column_builds,
+            "column_hit_rate": self.column_hits / columns if columns else 0.0,
         }
 
     # -- internals -----------------------------------------------------------------
@@ -268,12 +191,12 @@ class FitnessEngine:
         """Per-spec shared state: pruned design, Gram total, per-app blocks."""
         if self._bad_targets:
             return (None,) * 5
-        design, names = self.store.design(spec)
+        design, names = self.design(spec)
         if design.shape[1]:
             pruned, kept_names, _ = prune_design(design, names)
         else:
             pruned, kept_names = design, []
-        augmented = np.column_stack([np.ones(self.store.n_rows), pruned])
+        augmented = np.column_stack([np.ones(len(design)), pruned])
         y = self._y
         blocks: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         p = augmented.shape[1]
@@ -320,7 +243,7 @@ class FitnessEngine:
             self._obs_gram.inc()
         beta = np.concatenate([[fit.intercept], fit.coefficients])
         linear = augmented[val_idx] @ beta
-        linear = np.clip(linear, -_LOG_PREDICTION_CLIP, _LOG_PREDICTION_CLIP)
+        linear = np.clip(linear, -LOG_PREDICTION_CLIP, LOG_PREDICTION_CLIP)
         predictions = np.exp(linear)
         if not np.isfinite(predictions).all():
             return FAILED_FITNESS
@@ -337,9 +260,9 @@ def evaluate_chunk(
 
     Top-level and fully determined by its arguments, so
     :mod:`repro.parallel` can ship whole population chunks to worker
-    processes: each worker builds the column store once per chunk instead
-    of once per candidate — and the supervised pool can resubmit a chunk
-    whose worker died without changing any result.
+    processes: each worker computes the dataset's basis once per chunk
+    instead of once per candidate — and the supervised pool can resubmit a
+    chunk whose worker died without changing any result.
     """
     faults.site("engine.evaluate_chunk")
     engine = FitnessEngine(dataset, split_seed)

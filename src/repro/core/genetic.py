@@ -283,7 +283,7 @@ class GeneticSearch:
 
         Identical chromosomes (elites, convergent crossovers, duplicates
         within a generation) are scored once per search; the remainder is
-        chunked so each worker builds the engine's column store once per
+        chunked so each worker computes the engine's design basis once per
         chunk rather than once per candidate.
         """
         memo = self._memo
@@ -317,9 +317,7 @@ class GeneticSearch:
                     )
                     for chunk in chunks
                 ]
-                # collect_metrics ships each chunk's obs snapshot back and
-                # merges them here in chunk order, so engine counters are
-                # identical to the serial run at any worker count.
+                # Every chunk's obs snapshot is merged back in chunk order.
                 # supervised: a worker that dies (or hangs) mid-chunk gets
                 # its chunk resubmitted to a fresh pool — fitness evaluation
                 # survives worker loss with bit-identical results because
@@ -328,7 +326,6 @@ class GeneticSearch:
                     evaluate_chunk,
                     jobs,
                     n_workers=self.n_workers,
-                    collect_metrics=True,
                     supervised=True,
                 )
                 by_chromosome: Dict[Chromosome, FitnessResult] = {}

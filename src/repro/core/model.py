@@ -9,30 +9,28 @@ Collinearity elimination is integrated into fitting because redundant
 software variables routinely appear only once the design is constructed
 (§3.1); the pruning decisions are recorded and replayed at prediction time.
 
-Prediction does not replay the builder variable by variable: on its first
-prediction a model lowers its fitted design into a :class:`DesignProgram`
-of flat index arrays, the one evaluator behind :meth:`~InferredModel.predict`,
+Fitting evaluates the builder's design with its
+:class:`~repro.core.design.DesignProgram` over every column; on its first
+prediction a model compiles a second program over only the columns it
+kept, the one evaluator behind :meth:`~InferredModel.predict`,
 :meth:`~InferredModel.predict_rows`, :meth:`~InferredModel.predict_one` and
-:meth:`~InferredModel.prepared_design`.  Fitting keeps
-:meth:`DesignMatrixBuilder.transform_matrix`, which is also the oracle the
-program is tested against bit for bit.
+:meth:`~InferredModel.prepared_design`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.collinearity import prune_design
 from repro.core.dataset import ProfileDataset
-from repro.core.design import DesignMatrixBuilder, ModelSpec
+from repro.core.design import DesignMatrixBuilder, DesignProgram, ModelSpec
 from repro.core.metrics import median_error, pearson_correlation
 from repro.core.regression import LinearFit, fit_ols
-from repro.core.transforms import FittedTransform, TransformKind
+from repro.core.transforms import TABLE3_ROW_ORDER, TRANSFORM_LABELS
 
 #: Response-scale transforms.  Performance responses (CPI, Mflop/s, power)
 #: are strictly positive with multiplicative structure, so regression on a
@@ -42,8 +40,12 @@ from repro.core.transforms import FittedTransform, TransformKind
 RESPONSE_TRANSFORMS = {
     "identity": (lambda z: z, lambda z: z),
     "log": (np.log, np.exp),
-    "sqrt": (np.sqrt, lambda z: z**2),
 }
+
+#: Clamp on log-scale linear predictors before exponentiation: guards
+#: ``exp`` against absurd extrapolations from degenerate candidate specs,
+#: which the genetic search scores poorly anyway.
+LOG_PREDICTION_CLIP = 50.0
 
 
 def _stable_exp(z: np.ndarray) -> np.ndarray:
@@ -59,143 +61,6 @@ def _stable_exp(z: np.ndarray) -> np.ndarray:
     model (measured on a 2-core x86 host with AVX-512).
     """
     return np.array([math.exp(v) for v in z], dtype=float)
-
-
-class DesignProgram:
-    """A fitted design lowered to flat index arrays, for prediction.
-
-    :meth:`DesignMatrixBuilder.transform_matrix` walks the spec one
-    variable and one interaction at a time, a few numpy calls each.  The
-    program does the same arithmetic one column group at a time, in about
-    twenty numpy calls whatever the spec's size:
-
-    1. gather the source column of every stabilized view (each main
-       effect's transform and each interaction operand's linear view);
-    2. stabilize: views are sorted by ladder power and each power group is
-       raised with the one scalar exponent ``1 / power`` that
-       :func:`~repro.core.transforms.stabilize` uses, so numpy takes the
-       same loops (``** 0.5`` is a square root, for one);
-    3. standardize and clip with per-view center, scale and bound vectors;
-    4. gather the kept columns' views by basis and apply it in place:
-       ``max(z - knot, floor) ** 3`` over cubes and knot columns, and
-       products over squares and interactions;
-    5. one gather into :attr:`InferredModel.fit_column_names` order.
-
-    Every element meets the same ufuncs with the same operands as in
-    ``transform_matrix``, so the design is bitwise equal to
-    ``transform_matrix(rows)[:, kept_columns]``, and it is C-contiguous,
-    so :meth:`LinearFit.predict` reduces it in the same order.
-    """
-
-    def __init__(self, builder: DesignMatrixBuilder, kept_columns: Sequence[int]):
-        source = {name: i for i, name in enumerate(builder.variable_names)}
-        self._width = len(source)
-        views: Dict[tuple, int] = {}
-
-        def view(name: str, fitted: FittedTransform) -> int:
-            key = (fitted.power, source[name], fitted.center, fitted.scale,
-                   fitted.low, fitted.high)
-            return views.setdefault(key, len(views))
-
-        # One (basis, view, operand) term per builder column, in order.
-        terms = []
-        for name, fitted in builder._fitted.items():
-            if fitted.kind == TransformKind.EXCLUDED:
-                continue
-            index = view(name, fitted)
-            degree = 3 if fitted.kind == TransformKind.SPLINE else int(fitted.kind)
-            terms.extend((d, index, None) for d in range(1, degree + 1))
-            if fitted.kind == TransformKind.SPLINE:
-                terms.extend(("knot", index, float(k)) for k in fitted.knots)
-        for a, b in sorted(builder.spec.interactions):
-            terms.append(("pair", view(a, builder._linear_views[a]),
-                          view(b, builder._linear_views[b])))
-
-        # Renumber the views so that each ladder power is one column range,
-        # the identity (power 1) first.
-        order = sorted(views, key=lambda key: key[:2])
-        slot = {views[key]: i for i, key in enumerate(order)}
-        self._source = np.array([key[1] for key in order], dtype=np.intp)
-        # Per-column operands are (1, k) rows: for a single-row batch the
-        # shapes then match and numpy skips its broadcasting set-up.
-        self._center, self._scale, self._low, self._high = (
-            np.array([[key[i] for key in order]], dtype=float) for i in range(2, 6)
-        )
-        powers = [key[0] for key in order]
-        self._roots_from = powers.count(1)
-        self._roots = []
-        start = 0
-        for power, group in itertools.groupby(powers[self._roots_from:]):
-            stop = start + len(list(group))
-            self._roots.append((slice(start, stop), 1.0 / power))
-            start = stop
-
-        # The kept columns, gathered from z by basis: [degree 1 | cubes and
-        # knots | products | their second operands].  A cube is a knot
-        # column at knot 0.0 whose floor is -inf (``max(z - 0.0, -inf)`` is
-        # z), and a square is the product of a view with itself (numpy's
-        # ``z ** 2`` is ``z * z``), so two ufunc chains cover all four
-        # bases.
-        parts = {basis: [] for basis in (1, 2, 3, "knot", "pair")}
-        for position, j in enumerate(kept_columns):
-            basis, index, operand = terms[j]
-            if basis == 2:
-                basis, operand = "pair", index
-            parts[basis].append((position, slot[index], operand))
-        cubes = parts[3] + parts["knot"]
-        products = parts["pair"]
-        placed = parts[1] + cubes + products
-        self._columns = np.array(
-            [v for _, v, _ in placed] + [slot[b] for _, _, b in products],
-            dtype=np.intp,
-        )
-        edges = np.cumsum([len(parts[1]), len(cubes), len(products)])
-        self._cubes = slice(edges[0], edges[1])
-        self._products = slice(edges[1], edges[2])
-        self._operands = slice(edges[2], None)
-        self._knotted = bool(parts["knot"])
-        self._shift = np.array(
-            [[0.0] * len(parts[3]) + [k for _, _, k in parts["knot"]]], dtype=float
-        )
-        self._floor = np.array(
-            [[-np.inf] * len(parts[3]) + [0.0] * len(parts["knot"])], dtype=float
-        )
-        self._gather = np.empty(len(placed), dtype=np.intp)
-        for i, (position, _, _) in enumerate(placed):
-            self._gather[position] = i
-
-    def __call__(self, matrix: np.ndarray) -> np.ndarray:
-        """The kept design columns of a float ``(n, n_variables)`` array."""
-        if matrix.ndim != 2 or matrix.shape[1] != self._width:
-            raise ValueError(
-                f"feature matrix must be (n, {self._width}), got {matrix.shape}"
-            )
-        if not len(self._gather):
-            return np.empty((matrix.shape[0], 0))
-        # In-place updates of fresh arrays: the same ufuncs, operands and
-        # order as the oracle, without the temporaries.
-        z = matrix.take(self._source, axis=1)
-        if self._roots:
-            tail = z[:, self._roots_from:]
-            sign, root = np.sign(tail), np.abs(tail)
-            for group, exponent in self._roots:
-                view = root[:, group]
-                view **= exponent
-            np.multiply(sign, root, out=tail)
-        z -= self._center
-        z /= self._scale
-        z.clip(self._low, self._high, out=z)
-        t = z.take(self._columns, axis=1)
-        if self._cubes.start < self._cubes.stop:
-            view = t[:, self._cubes]
-            if self._knotted:
-                view -= self._shift
-                np.maximum(view, self._floor, out=view)
-            view **= 3
-        if self._products.start < self._products.stop:
-            view = t[:, self._products]
-            view *= t[:, self._operands]
-        return t.take(self._gather, axis=1)
 
 
 class InferredModel:
@@ -246,7 +111,7 @@ class InferredModel:
             )
         forward, _ = RESPONSE_TRANSFORMS[response]
         targets = dataset.targets()
-        if response in ("log", "sqrt") and (targets <= 0).any():
+        if response == "log" and (targets <= 0).any():
             raise ValueError(f"{response} response requires positive targets")
 
         builder = DesignMatrixBuilder(spec, auto_stabilize=auto_stabilize)
@@ -309,9 +174,7 @@ class InferredModel:
     def _predict_design(self, design: np.ndarray) -> np.ndarray:
         linear = self._fit.predict(design)
         if self.response == "log":
-            # Guard exp() against absurd extrapolations from degenerate
-            # candidate specs; the genetic search scores them poorly anyway.
-            return _stable_exp(linear.clip(-50.0, 50.0))
+            return _stable_exp(linear.clip(-LOG_PREDICTION_CLIP, LOG_PREDICTION_CLIP))
         _, inverse = RESPONSE_TRANSFORMS[self.response]
         return inverse(linear)
 
@@ -337,7 +200,7 @@ class InferredModel:
     def transform_targets(self, targets: np.ndarray) -> np.ndarray:
         """Targets on the fit's response scale (the regression's ``y``)."""
         targets = np.asarray(targets, dtype=float)
-        if self.response in ("log", "sqrt") and (targets <= 0).any():
+        if self.response == "log" and (targets <= 0).any():
             raise ValueError(f"{self.response} response requires positive targets")
         forward, _ = RESPONSE_TRANSFORMS[self.response]
         return forward(targets)
@@ -400,22 +263,9 @@ class InferredModel:
 
     def transform_summary(self) -> Dict[str, List[str]]:
         """Variables grouped by transformation — the paper's Table 3 view."""
-        groups: Dict[str, List[str]] = {
-            "un-used": [],
-            "linear": [],
-            "poly, degree 2": [],
-            "poly, degree 3": [],
-            "spline, 3 knots": [],
-        }
-        labels = {
-            TransformKind.EXCLUDED: "un-used",
-            TransformKind.LINEAR: "linear",
-            TransformKind.QUADRATIC: "poly, degree 2",
-            TransformKind.CUBIC: "poly, degree 3",
-            TransformKind.SPLINE: "spline, 3 knots",
-        }
+        groups: Dict[str, List[str]] = {label: [] for label in TABLE3_ROW_ORDER}
         for name, kind in self.spec.transforms.items():
-            groups[labels[kind]].append(name)
+            groups[TRANSFORM_LABELS[kind]].append(name)
         return groups
 
     def __repr__(self) -> str:

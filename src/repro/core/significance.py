@@ -24,17 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.chromosome import Chromosome
-from repro.core.transforms import TransformKind
-
-TRANSFORM_LABELS = {
-    TransformKind.EXCLUDED: "un-used",
-    TransformKind.LINEAR: "linear",
-    TransformKind.QUADRATIC: "poly, degree 2",
-    TransformKind.CUBIC: "poly, degree 3",
-    TransformKind.SPLINE: "spline, 3 knots",
-}
-
-TABLE3_ROW_ORDER = tuple(TRANSFORM_LABELS[k] for k in TransformKind)
+from repro.core.transforms import TABLE3_ROW_ORDER, TRANSFORM_LABELS, TransformKind
 
 
 def inclusion_frequency(

@@ -14,7 +14,10 @@ Three families:
   space.
 
 Every basis is *stateful*: knots and stabilization powers are estimated on
-training data and replayed verbatim on validation/prediction data.
+training data (:func:`fit_transform`) and replayed verbatim on
+validation/prediction data.  This module estimates that state; the basis
+columns themselves are computed by
+:class:`repro.core.design.DesignProgram`.
 """
 
 from __future__ import annotations
@@ -38,6 +41,18 @@ class TransformKind(enum.IntEnum):
     QUADRATIC = 2
     CUBIC = 3
     SPLINE = 4
+
+
+#: Each kind's row label in the paper's Table 3.
+TRANSFORM_LABELS = {
+    TransformKind.EXCLUDED: "un-used",
+    TransformKind.LINEAR: "linear",
+    TransformKind.QUADRATIC: "poly, degree 2",
+    TransformKind.CUBIC: "poly, degree 3",
+    TransformKind.SPLINE: "spline, 3 knots",
+}
+
+TABLE3_ROW_ORDER = tuple(TRANSFORM_LABELS[k] for k in TransformKind)
 
 
 #: Candidate exponents n for the x -> x**(1/n) ladder (n >= 1, §3.1 fn. 2).
@@ -97,23 +112,6 @@ def spline_knots(values: np.ndarray, n_knots: int = SPLINE_KNOTS) -> np.ndarray:
     return np.quantile(np.asarray(values, dtype=float), quantiles)
 
 
-def truncated_power_basis(values: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """The paper's piecewise-cubic basis: x, x^2, x^3, (x-k)+^3 per knot."""
-    values = np.asarray(values, dtype=float)
-    columns = [values, values**2, values**3]
-    for knot in np.asarray(knots, dtype=float):
-        columns.append(np.maximum(values - knot, 0.0) ** 3)
-    return np.column_stack(columns)
-
-
-def polynomial_basis(values: np.ndarray, degree: int) -> np.ndarray:
-    """Columns x, x^2, ..., x^degree."""
-    if not 1 <= degree <= 3:
-        raise ValueError(f"degree must be 1..3, got {degree}")
-    values = np.asarray(values, dtype=float)
-    return np.column_stack([values**d for d in range(1, degree + 1)])
-
-
 @dataclasses.dataclass
 class FittedTransform:
     """A transform whose data-dependent state has been estimated.
@@ -160,22 +158,6 @@ class FittedTransform:
             poly = ("", "^2", "^3")
             return poly + tuple(f"~k{i + 1}" for i in range(len(self.knots)))
         return ("", "^2", "^3")[: int(self.kind)]
-
-    def stabilized(self, values: np.ndarray) -> np.ndarray:
-        """Stabilized, standardized, range-clamped values (the 'linear'
-        view of the variable)."""
-        z = stabilize(values, self.power)
-        z = (z - self.center) / self.scale
-        return np.clip(z, self.low, self.high)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Basis columns for new data, shape (n, n_columns)."""
-        if self.kind == TransformKind.EXCLUDED:
-            return np.empty((len(np.asarray(values)), 0))
-        z = self.stabilized(values)
-        if self.kind == TransformKind.SPLINE:
-            return truncated_power_basis(z, self.knots)
-        return polynomial_basis(z, int(self.kind))
 
 
 def fit_transform(

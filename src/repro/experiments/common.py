@@ -207,10 +207,6 @@ class GeneralStudy:
             ]
         return self._profiles[application]
 
-    def warm_stats(self, application: str) -> None:
-        """Precompute simulator statistics for an application's shards."""
-        self.simulator.stats_for_many(self.shards(application))
-
     # -- profile-record construction ------------------------------------------------
 
     def record(
@@ -347,9 +343,7 @@ def build_general_dataset(
             ]
             jobs.append((scale, seed, app, configs, shard_indices, backend))
 
-        record_lists = parallel_map(
-            _build_app_records_job, jobs, collect_metrics=True
-        )
+        record_lists = parallel_map(_build_app_records_job, jobs)
         train = empty_general_dataset()
         val = empty_general_dataset()
         for dataset, records in zip(

@@ -6,7 +6,7 @@ genetic search, redeploy); this package is how the loop watches itself:
 * a process-wide :class:`~repro.obs.registry.MetricsRegistry` of
   counters, gauges, and fixed-bucket histograms (lock-free; explicit
   in-order merge aggregates worker-process snapshots deterministically —
-  see :func:`collect` and ``repro.parallel(collect_metrics=True)``);
+  see :func:`collect` and :func:`repro.parallel.parallel_map`);
 * lightweight trace :func:`span`\\ s recording wall/CPU time per phase
   into histograms, with a per-thread context stack;
 * exporters: JSONL files under ``reports/`` for the CI regression gate

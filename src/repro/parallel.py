@@ -17,8 +17,8 @@ Design rules that keep every result identical at any worker count:
   :func:`_swizzle_jobs`) — workers re-map the same pages, the results
   are unchanged;
 * metrics recorded by jobs (``repro.obs``) aggregate deterministically:
-  with ``collect_metrics=True`` each job runs against a fresh registry in
-  its worker, and the per-job snapshots are merged back into the parent's
+  on every pool path each job runs against a fresh registry in its
+  worker, and the per-job snapshots are merged back into the parent's
   registry **in input order** — so counters and histograms are identical
   to a serial run for any worker split (property-tested in
   ``tests/test_obs.py``).
@@ -155,7 +155,7 @@ def _collected_call(job) -> tuple:
     return result, registry.snapshot()
 
 
-def _run_pool_collected(fn, arg_tuples, workers: int, chunksize: int) -> list:
+def _run_pool(fn, arg_tuples, workers: int, chunksize: int) -> list:
     from repro import obs
 
     jobs = [(fn, args) for args in arg_tuples]
@@ -175,19 +175,13 @@ def _supervised_call(job: tuple) -> tuple:
     """Worker shim for supervised jobs.
 
     Passes through the ``parallel.job`` fault site (so chaos plans can
-    kill/raise/delay inside the worker) and, when metrics collection is
-    on, runs the job against a fresh registry exactly like
-    :func:`_collected_call`.
+    kill/raise/delay inside the worker), then runs the job against a
+    fresh registry exactly like :func:`_collected_call`.
     """
-    from repro import faults, obs
+    from repro import faults
 
-    fn, args, collect = job
     faults.site("parallel.job")
-    if not collect:
-        return fn(*args), None
-    with obs.collect() as registry:
-        result = fn(*args)
-    return result, registry.snapshot()
+    return _collected_call(job)
 
 
 def _kill_pool(executor: ProcessPoolExecutor) -> None:
@@ -203,7 +197,6 @@ def _run_supervised(
     fn,
     arg_tuples: Sequence[tuple],
     workers: int,
-    collect_metrics: bool,
     timeout_s: Optional[float],
     max_attempts: int,
 ) -> list:
@@ -230,11 +223,7 @@ def _run_supervised(
         broken = False
         try:
             for index in pending:
-                futures[
-                    executor.submit(
-                        _supervised_call, (fn, arg_tuples[index], collect_metrics)
-                    )
-                ] = index
+                futures[executor.submit(_supervised_call, (fn, arg_tuples[index]))] = index
         except BrokenProcessPool:
             broken = True
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
@@ -274,8 +263,7 @@ def _run_supervised(
             obs.counter("parallel.resubmissions").inc(len(pending))
     results = []
     for result, snapshot in outcomes:
-        if collect_metrics and snapshot is not None:
-            obs.merge(snapshot)
+        obs.merge(snapshot)
         results.append(result)
     return results
 
@@ -285,7 +273,6 @@ def parallel_map(
     items: Sequence[T],
     n_workers: Optional[int] = None,
     chunksize: int = 1,
-    collect_metrics: bool = False,
     supervised: Optional[bool] = None,
     timeout_s: Optional[float] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -294,9 +281,9 @@ def parallel_map(
 
     Serial (plain loop, no pool, no pickling) when the resolved worker
     count is 1 or there is at most one item.  ``fn`` must be a module-level
-    callable for the parallel path.  With ``collect_metrics=True``, metrics
-    the jobs record via :mod:`repro.obs` are shipped back as per-job
-    snapshots and merged into this process's registry in input order.
+    callable for the parallel path.  Metrics the jobs record via
+    :mod:`repro.obs` are shipped back as per-job snapshots and merged into
+    this process's registry in input order, as if the jobs had run here.
     ``supervised`` (default ``$REPRO_SUPERVISED``) detects dead/hung
     workers and resubmits their jobs; see the module docstring.
     """
@@ -309,7 +296,6 @@ def parallel_map(
         [(item,) for item in items],
         n_workers=workers,
         chunksize=chunksize,
-        collect_metrics=collect_metrics,
         supervised=supervised,
         timeout_s=timeout_s,
         max_attempts=max_attempts,
@@ -321,7 +307,6 @@ def parallel_starmap(
     arg_tuples: Iterable[tuple],
     n_workers: Optional[int] = None,
     chunksize: int = 1,
-    collect_metrics: bool = False,
     supervised: Optional[bool] = None,
     timeout_s: Optional[float] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -333,10 +318,5 @@ def parallel_starmap(
         return [fn(*args) for args in jobs]
     fn, jobs = _swizzle_jobs(fn, jobs)
     if resolve_supervised(supervised):
-        return _run_supervised(
-            fn, jobs, workers, collect_metrics, timeout_s, max_attempts
-        )
-    if collect_metrics:
-        return _run_pool_collected(fn, jobs, workers, chunksize)
-    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-        return pool.starmap(fn, jobs, chunksize=chunksize)
+        return _run_supervised(fn, jobs, workers, timeout_s, max_attempts)
+    return _run_pool(fn, jobs, workers, chunksize)

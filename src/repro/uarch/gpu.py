@@ -39,8 +39,7 @@ The property-test suite in ``tests/test_uarch_gpu.py`` enforces both.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -221,12 +220,6 @@ def sample_gpu_configs(n: int, rng: np.random.Generator) -> List[GpuConfig]:
     if len(configs) < n:
         raise RuntimeError(f"could not sample {n} distinct configurations")
     return configs
-
-
-def enumerate_gpu_configs() -> Iterator[GpuConfig]:
-    """Enumerate the entire GPU design space (use sparingly)."""
-    for levels in itertools.product(*(range(c) for c in _GPU_LEVEL_COUNTS)):
-        yield gpu_config_from_levels(levels)
 
 
 def reference_gpu_config() -> GpuConfig:

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.isa.instructions import FU_LATENCY, OpClass
+from repro.isa.instructions import FU_LATENCY
 from repro.isa.trace import Trace
 from repro.profiling.reuse import stack_distances
 from repro.uarch.config import ROB_LEVELS
@@ -35,10 +35,6 @@ class ShardStats:
     n_data_accesses: int
     n_inst_accesses: int
     dataflow_cycles: Dict[int, float]     # ROB window -> dataflow-limited cycles
-
-    @property
-    def n_memory(self) -> int:
-        return int(self.opclass_counts[OpClass.MEMORY])
 
 
 #: Value assigned to cold (first-touch) stack distances.  It exceeds any

@@ -2,8 +2,9 @@
 
 Three layers of checks:
 
-* the :class:`ColumnStore` reproduces ``DesignMatrixBuilder`` columns
-  bit-for-bit when both are fitted on the same dataset;
+* the engine's column store — one basis per dataset, each spec's design
+  a column selection from it — reproduces ``DesignMatrixBuilder``
+  columns bit-for-bit when both are fitted on the same dataset;
 * the engine's Gram-path fits match a row-level weighted-``lstsq``
   reference over the *same shared columns* to ~1e-8, and the minimum-norm
   branch of ``solve_gram`` agrees with its Cholesky branch;
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ColumnStore,
     DesignMatrixBuilder,
     FitnessEngine,
     GeneticSearch,
@@ -55,33 +55,44 @@ def dataset():
 
 
 class TestColumnStore:
+    """``FitnessEngine.design``: one basis per dataset, every spec's design
+    a column selection from it."""
+
     @pytest.mark.parametrize("genes,interactions", SPEC_CASES)
     def test_matches_design_matrix_builder(self, dataset, genes, interactions):
         """Column selection must equal a builder fitted on the same data,
-        bit-for-bit, including column names and ordering."""
+        bit-for-bit, including column names, ordering and layout."""
         spec = spec_from_genes(dataset.variable_names, genes, interactions)
-        store = ColumnStore(dataset)
-        design, names = store.design(spec)
+        design, names = FitnessEngine(dataset, 0).design(spec)
         builder = DesignMatrixBuilder(spec)
         reference = builder.fit_transform(dataset)
         assert tuple(names) == builder.column_names
         assert design.shape == reference.shape
-        assert np.array_equal(design, reference)
+        assert design.flags["C_CONTIGUOUS"] and reference.flags["C_CONTIGUOUS"]
+        assert design.tobytes() == reference.tobytes()
 
     def test_columns_cached_across_specs(self, dataset):
-        store = ColumnStore(dataset)
+        """One build per column computed — the basis once, then each spec's
+        interaction products — and one hit per basis column a spec takes."""
         names = dataset.variable_names
-        store.design(spec_from_genes(names, (1, 2, 3, 4)))
-        builds = store.builds
-        store.design(spec_from_genes(names, (1, 2, 3, 4)))
-        assert store.builds == builds  # second assembly is all hits
-        assert store.hits > 0
-        assert 0.0 < store.hit_rate() <= 1.0
+        splines = ModelSpec(transforms=dict.fromkeys(names, TransformKind.SPLINE))
+        width = len(DesignMatrixBuilder(splines).fit(dataset).column_names)
+        engine = FitnessEngine(dataset, 0)
+        spec = spec_from_genes(names, (1, 2, 3, 4), frozenset({("x1", "y1")}))
+        _, taken = engine.design(spec)
+        assert engine.column_builds == width + 1
+        assert engine.column_hits == len(taken) - 1
+        engine.design(spec)
+        engine.design(spec_from_genes(names, (0, 0, 0, 0)))
+        stats = engine.stats()
+        hits, builds = 2 * (len(taken) - 1), width + 2  # the basis is computed once
+        assert (stats["column_hits"], stats["column_builds"]) == (hits, builds)
+        assert stats["column_hit_rate"] == hits / (hits + builds)
 
     def test_unknown_variable_rejected(self, dataset):
-        store = ColumnStore(dataset)
-        with pytest.raises(ValueError):
-            store.stabilized("nope")
+        engine = FitnessEngine(dataset, 0)
+        with pytest.raises(ValueError, match="unknown variable 'nope'"):
+            engine.design(ModelSpec(transforms={"nope": TransformKind.LINEAR}))
 
 
 class TestEngineAgainstRowLevelReference:
@@ -90,8 +101,8 @@ class TestEngineAgainstRowLevelReference:
     (documented) shared-transform deviation."""
 
     def reference_fitness(self, dataset, spec, splits, weight=2.0):
-        store = ColumnStore(dataset)
-        design, names = store.design(spec)
+        builder = DesignMatrixBuilder(spec)
+        design, names = builder.fit_transform(dataset), builder.column_names
         if design.shape[1]:
             pruned, kept_names, _ = prune_design(design, names)
         else:

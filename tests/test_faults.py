@@ -395,7 +395,6 @@ class TestSupervisedMetrics:
                 items,
                 n_workers=3,
                 supervised=True,
-                collect_metrics=True,
             )
         chaos_snapshot = obs.snapshot()
         assert survived == serial

@@ -5,7 +5,7 @@ The two ISSUE acceptance properties live here:
 * **deterministic aggregation** — metrics recorded by parallel worker
   chunks and merged in input order equal the serial run's, for *any*
   split of the work (hypothesis property plus a real multiprocessing
-  run through ``parallel_map(collect_metrics=True)``);
+  run through ``parallel_map``);
 * **no-op mode** — with observability disabled the accessors hand out
   the shared null singletons and the instrumented kernel paths record
   nothing at all.
@@ -295,15 +295,20 @@ class TestParallelCollection:
         serial = obs.snapshot()
 
         obs.reset()
-        pool_results = parallel.parallel_map(
-            _metric_job, items, n_workers=3, collect_metrics=True
-        )
+        pool_results = parallel.parallel_map(_metric_job, items, n_workers=3)
         assert pool_results == serial_results
         assert obs.snapshot() == serial
 
-    def test_pool_without_collection_records_nothing_here(self):
-        parallel.parallel_map(_metric_job, list(range(1, 9)), n_workers=3)
-        assert obs.snapshot()["counters"] == {}
+    def test_supervised_pool_metrics_match_serial(self):
+        items = list(range(1, 9))
+        parallel.parallel_map(_metric_job, items, n_workers=1)
+        serial = obs.snapshot()
+
+        obs.reset()
+        parallel.parallel_starmap(
+            _metric_job, [(n,) for n in items], n_workers=3, supervised=True
+        )
+        assert obs.snapshot() == serial
 
 
 # -- no-op mode ------------------------------------------------------------------------
